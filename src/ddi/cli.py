@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +40,6 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_INPUT = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs shared by the subcommands."""
-
-    tol: float = 1e-9
-    eps: float = 1e-9
-    max_iter: int = 10 ** 6
-    seed: int = 0
-    output_format: str = "json"
 
 
 def _configure_logging() -> None:
@@ -111,12 +99,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def cmd_infer(args) -> int:
-    config = _config_from(args)
-    cloud = cloud_from_dict(_load_json(args.input), sum_tol=config.tol)
+    cloud = cloud_from_dict(_load_json(args.input), sum_tol=args.tol)
     logger.info("inferring over %d distributions spanning %d dimensions",
                 len(cloud), cloud.span_dim)
     try:
-        result = ddi_on_ball(cloud, eps=config.eps, max_iter=config.max_iter)
+        result = ddi_on_ball(cloud, eps=args.eps, max_iter=args.max_iter)
         code = EXIT_OK
     except NoConvergenceError as exc:
         logger.warning("no convergence: %s", exc)
@@ -127,10 +114,9 @@ def cmd_infer(args) -> int:
 
 
 def cmd_verify_design(args) -> int:
-    config = _config_from(args)
     states = state_set_from_dict(_load_json(args.input))
     try:
-        certificate = is_two_design(states, tol=config.tol)
+        certificate = is_two_design(states, tol=args.tol)
     except NotPureStateError as exc:
         print(f"point off the pure-state sphere by {exc.deviation}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -139,11 +125,10 @@ def cmd_verify_design(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    config = _config_from(args)
     payload = _load_json(args.input)
     if not isinstance(payload, list) or not payload:
         raise DdiError("embed expects a nonempty JSON list of operators")
-    operators = [hermitian_from_dict(obj, tol=config.tol) for obj in payload]
+    operators = [hermitian_from_dict(obj, tol=args.tol) for obj in payload]
     d = operators[0].shape[0]
     if args.dim is not None and args.dim != d:
         raise DdiError(f"operators have dimension {d}, expected {args.dim}")
@@ -153,7 +138,7 @@ def cmd_embed(args) -> int:
     vectors = []
     report = []
     for op in operators:
-        vector = embed_density(op, embedding, tol=config.tol)
+        vector = embed_density(op, embedding, tol=args.tol)
         purity = float(np.trace(op @ op).real)
         vectors.append(vector)
         report.append({
@@ -161,7 +146,7 @@ def cmd_embed(args) -> int:
             "norm_sq": float(vector @ vector),
             "hyperplane_residual": abs(float(vector.sum()) - 1.0),
         })
-    if config.output_format == "csv":
+    if args.format == "csv":
         header = (["index", "purity", "norm_sq", "hyperplane_residual"]
                   + [f"s{i}" for i in range(embedding.l)])
         rows = [[i, r["purity"], r["norm_sq"], r["hyperplane_residual"], *v]
@@ -188,7 +173,6 @@ def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from(args)
     if args.trials < 1:
         raise DdiError(f"trials must be positive, got {args.trials}")
     header = ["trial", "seed", "expected_volume_sq", "recovered_volume_sq",
@@ -199,10 +183,10 @@ def cmd_simulate(args) -> int:
     worst_iter = 0
     code = EXIT_OK
     for trial in range(args.trials):
-        trial_seed = config.seed + trial if config.seed >= 0 else config.seed
+        trial_seed = args.seed + trial if args.seed >= 0 else args.seed
         meas = _trial_measurement(args.n, args.l, trial_seed)
         try:
-            report = inference_round_trip(meas, eps=config.eps, max_iter=config.max_iter)
+            report = inference_round_trip(meas, eps=args.eps, max_iter=args.max_iter)
         except NoConvergenceError as exc:
             logger.warning("trial %d did not converge: %s", trial, exc)
             rows.append([trial, trial_seed, "", "", "", "", exc.iterations or 0])
@@ -217,16 +201,6 @@ def cmd_simulate(args) -> int:
     rows.append(["max", "", "", "", worst_gap, worst_dev, worst_iter])
     _write_text(args.output, _csv_text(header, rows))
     return code
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        tol=args.tol,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        output_format=getattr(args, "format", "json"),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

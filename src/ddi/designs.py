@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     InvalidDimensionError,
@@ -237,7 +236,14 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     points.  Returns the normalized weights and the spectral-norm frame
     deviation they achieve.  When no weighting fits, the returned
     deviation simply stays large.
+
+    This is a verification tool, not part of the inference path: an
+    inference result already carries its certifying weights, the
+    solver's dual weights.  SciPy is imported here, on first use, so
+    that importing the package does not load it.
     """
+    from scipy.optimize import nnls
+
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must form an (m, l) array")

@@ -21,8 +21,10 @@ gauge-fixed: its tangent block is the symmetric positive square root of
 the ellipsoid shape, expressed in deterministic charts.
 
 Optimality has a sharp witness: the counter-image of the cloud under the
-optimal measurement supports a weighted 2-design on the pure-state
-sphere.  Every result therefore carries the counter-image and its design
+optimal measurement, weighted by the solver's dual weights, satisfies
+the frame condition sum_j u_j s_j s_j^T = I/l, and its support lies on
+the pure-state sphere, so it is a weighted 2-design.  Every result
+therefore carries the counter-image with those weights and its design
 certificate, and `design_volume_bound_check` verifies the underlying
 bound det(M^T M) >= 1 for square measurements enclosing a certified
 design.
@@ -47,6 +49,7 @@ from .designs import (
     DesignCertificate,
     WeightedStateSet,
     design_weights,
+    frame_operator,
     is_two_design,
     regular_simplex,
     state_set_to_dict,
@@ -311,6 +314,15 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
                     design_tol: float = 1e-7) -> DdiResult:
     """Turn an enclosing ellipsoid into a full inference result.
 
+    The counter-image carries the solver's dual weights
+    ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid
+    shape is built from those weights, so their frame operator is
+    ``eye(l) / l`` up to rounding, converged or not, and the returned
+    counter-image re-certifies under :func:`is_two_design` whenever every
+    point is on the sphere.  ``is_design`` holds when the frame deviation
+    and the sphere deviation over all points are both within
+    ``design_tol``, that is, when the optimum is tight.
+
     Used by :func:`ddi_on_ball` on converged ellipsoids and by callers
     that want to salvage the partial ellipsoid of a
     :class:`NoConvergenceError`.
@@ -321,30 +333,16 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     meas = ellipsoid_to_measurement(ellipsoid, cloud, containment_tol=slack)
     volume = range_volume_sq(meas)
     counter_points = cloud.points @ meas.pinv().T
-    m = counter_points.shape[0]
-    counter = WeightedStateSet(points=counter_points, weights=np.full(m, 1.0 / m))
+    counter = WeightedStateSet(points=counter_points, weights=ellipsoid.support_weights)
+    l = cloud.span_dim
+    frame_deviation = float(np.linalg.norm(frame_operator(counter) - np.eye(l) / l, 2))
     sphere_deviation = float(np.abs(np.linalg.norm(counter_points, axis=1) - 1.0).max())
-    if sphere_deviation <= design_tol:
-        certificate = is_two_design(counter, design_tol)
-        if not certificate.is_design:
-            # a design may need nonuniform weights; search before giving up
-            searched, deviation = design_weights(counter_points)
-            if deviation < certificate.frame_deviation:
-                certificate = DesignCertificate(
-                    is_design=deviation <= design_tol,
-                    frame_deviation=deviation,
-                    tol_used=float(design_tol),
-                    sphere_deviation=sphere_deviation,
-                )
-    else:
-        frame = (counter_points.T * counter.weights) @ counter_points
-        l = cloud.span_dim
-        certificate = DesignCertificate(
-            is_design=False,
-            frame_deviation=float(np.linalg.norm(frame - np.eye(l) / l, 2)),
-            tol_used=float(design_tol),
-            sphere_deviation=sphere_deviation,
-        )
+    certificate = DesignCertificate(
+        is_design=max(sphere_deviation, frame_deviation) <= design_tol,
+        frame_deviation=frame_deviation,
+        tol_used=float(design_tol),
+        sphere_deviation=sphere_deviation,
+    )
     return DdiResult(
         measurement=meas,
         volume_sq=volume,
@@ -470,6 +468,37 @@ def _tangent_coordinates(points: np.ndarray, l: int) -> np.ndarray:
     return (points - np.ones(l) / l) @ hyperplane_basis(l)
 
 
+def _sample_enclosing(points: np.ndarray, chart: np.ndarray, draw_center,
+                      margin: float | None, rng: np.random.Generator) -> QuasiMeasurement:
+    """Draw loop shared by the enclosing samplers.
+
+    Each try takes a center from ``draw_center()`` and a Gaussian tangent
+    block, skips ill-conditioned blocks, and scales the block so the
+    farthest counter-image of ``points`` lands at ``1 / (1 + margin)`` of
+    the ball radius.  The measurement maps the ball center ``u/l`` to the
+    center and the ball's tangent space into ``chart``.
+    """
+    if margin is None:
+        margin = float(rng.uniform(0.05, 0.5))
+    if margin < 0.0:
+        raise InvalidInputError(f"margin must be nonnegative, got {margin}")
+    d = chart.shape[1]
+    tangent = hyperplane_basis(d + 1)
+    radius = ball_radius(d + 1)
+    for _ in range(64):
+        center = draw_center()
+        x = (points - center) @ chart
+        block = rng.standard_normal((d, d))
+        sv = np.linalg.svd(block, compute_uv=False)
+        if sv[-1] <= 1e-8 * sv[0]:
+            continue
+        reach = np.linalg.norm(np.linalg.solve(block, x.T), axis=0).max()
+        scale = (1.0 + margin) * max(reach, 1e-12) / radius
+        matrix = np.outer(center, np.ones(d + 1)) + chart @ (scale * block) @ tangent.T
+        return validate(matrix)
+    raise DegenerateInputError("failed to draw a well-conditioned tangent block")
+
+
 def sample_enclosing_square(points: np.ndarray, rng: np.random.Generator,
                             margin: float | None = None) -> QuasiMeasurement:
     """Random invertible ``l x l`` quasi-measurement enclosing given states.
@@ -480,23 +509,8 @@ def sample_enclosing_square(points: np.ndarray, rng: np.random.Generator,
     """
     points = np.asarray(points, dtype=float)
     l = points.shape[1]
-    if margin is None:
-        margin = float(rng.uniform(0.05, 0.5))
-    if margin < 0.0:
-        raise InvalidInputError(f"margin must be nonnegative, got {margin}")
-    tangent = hyperplane_basis(l)
-    x = _tangent_coordinates(points, l)
-    radius = ball_radius(l)
-    for _ in range(64):
-        block = rng.standard_normal((l - 1, l - 1))
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0]:
-            continue
-        reach = np.linalg.norm(np.linalg.solve(block, x.T), axis=0).max()
-        scale = (1.0 + margin) * reach / radius
-        matrix = np.ones((l, l)) / l + tangent @ (scale * block) @ tangent.T
-        return validate(matrix)
-    raise DegenerateInputError("failed to draw a well-conditioned tangent block")
+    center = np.ones(l) / l
+    return _sample_enclosing(points, hyperplane_basis(l), lambda: center, margin, rng)
 
 
 def sample_enclosing_measurement(cloud: ProbabilityCloud, rng: np.random.Generator,
@@ -507,29 +521,13 @@ def sample_enclosing_measurement(cloud: ProbabilityCloud, rng: np.random.Generat
     centroid and the tangent block is a scaled Gaussian, so feasibility
     holds by construction.
     """
-    l = cloud.span_dim
-    d = l - 1
-    if margin is None:
-        margin = float(rng.uniform(0.05, 0.5))
-    if margin < 0.0:
-        raise InvalidInputError(f"margin must be nonnegative, got {margin}")
+    d = cloud.span_dim - 1
     chart, base = _affine_chart(cloud.points, d)
     spread = (cloud.points - base) @ chart
     scale0 = max(float(np.linalg.norm(spread, axis=1).max()), 1e-12)
-    tangent = hyperplane_basis(l)
-    radius = ball_radius(l)
-    for _ in range(64):
-        center = base + chart @ (0.3 * scale0 * rng.standard_normal(d))
-        x = (cloud.points - center) @ chart
-        block = rng.standard_normal((d, d))
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0]:
-            continue
-        reach = np.linalg.norm(np.linalg.solve(block, x.T), axis=0).max()
-        scale = (1.0 + margin) * max(reach, 1e-12) / radius
-        matrix = np.outer(center, np.ones(l)) + chart @ (scale * block) @ tangent.T
-        return validate(matrix)
-    raise DegenerateInputError("failed to draw a well-conditioned tangent block")
+    return _sample_enclosing(
+        cloud.points, chart,
+        lambda: base + chart @ (0.3 * scale0 * rng.standard_normal(d)), margin, rng)
 
 
 def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,

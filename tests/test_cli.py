@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from ddi import StateEmbedding, embed_density, random_ic_quasi_measurement
 from ddi.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -12,6 +13,8 @@ from ddi.cli import (
     EXIT_OK,
     main,
 )
+
+from helpers import random_pure_density
 
 SIMPLEX_CLOUD = {"n": 3, "distributions": [[1.0, 0.0, 0.0],
                                            [0.0, 1.0, 0.0],
@@ -31,6 +34,17 @@ def hard_cloud(tmp_path, m=30, n=4, seed=6):
     points = rng.dirichlet(np.ones(n), m)
     return write_json(tmp_path / "hard.json",
                       {"n": n, "distributions": points.tolist()})
+
+
+def pure_qubit_cloud(tmp_path, m=40, seed=21):
+    # pure qubit states through a 6-outcome measurement: a tight optimum
+    # whose counter-image certifies only under the solver's dual weights
+    rng = np.random.default_rng(seed)
+    embedding = StateEmbedding.for_dimension(2)
+    states = np.array([embed_density(random_pure_density(2, rng), embedding)
+                       for _ in range(m)])
+    points = states @ random_ic_quasi_measurement(6, 4, 3).matrix.T
+    return write_json(tmp_path / "pure.json", {"n": 6, "distributions": points.tolist()})
 
 
 class TestInfer:
@@ -76,6 +90,15 @@ class TestInfer:
         assert partial["volume_sq"] > 0.0
         assert partial["optimality_gap"] > 1e-9
         assert partial["iterations"] == 2
+
+    def test_counter_image_verifies_as_design(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["infer", pure_qubit_cloud(tmp_path), "--output", str(out)]) == EXIT_OK
+        result = json.loads(out.read_text())
+        assert result["design_certificate"]["is_design"] is True
+        counter = write_json(tmp_path / "counter.json", result["counter_image"])
+        assert main(["verify-design", counter, "--tol", "1e-7"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["is_design"] is True
 
     def test_malformed_json_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -281,3 +304,18 @@ class TestSubprocessEntry:
         out_local = tmp_path / "local.json"
         assert main(["infer", inp, "--output", str(out_local)]) == EXIT_OK
         assert out_proc.read_bytes() == out_local.read_bytes()
+
+    def test_infer_and_simulate_load_no_scipy(self, tmp_path):
+        # a fresh interpreter, since the test helpers import scipy
+        inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)
+        script = (
+            "import sys\n"
+            "from ddi.cli import main\n"
+            f"assert main(['infer', {inp!r}, '--output', {str(tmp_path / 'r.json')!r}]) == 0\n"
+            "assert main(['simulate', '4', '3', '2', "
+            f"'--output', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

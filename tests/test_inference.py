@@ -9,6 +9,7 @@ from ddi import (
     NotClosedFormCaseError,
     PreconditionViolatedError,
     ProbabilityCloud,
+    StateEmbedding,
     WeightedStateSet,
     ball_radius,
     composition_bijection_check,
@@ -16,9 +17,11 @@ from ddi import (
     ddi_on_ball,
     design_volume_bound_check,
     ellipsoid_to_measurement,
+    embed_density,
     feasibility_check,
     hyperplane_basis,
     inference_round_trip,
+    is_two_design,
     mvee,
     random_ic_quasi_measurement,
     random_stabilizing_orthogonal,
@@ -35,7 +38,7 @@ from ddi.inference import (
     sample_enclosing_square,
 )
 
-from helpers import enclosing_ellipse_bruteforce, triangle_area
+from helpers import enclosing_ellipse_bruteforce, random_pure_density, triangle_area
 
 # 2x2 member stretching the tangent direction by 2; det is 2 by direct
 # expansion, so gram_det = 4 and tr(M^-2) - 2 = 1 + 1/4 - 2 = -3/4
@@ -270,6 +273,27 @@ class TestDdiOnBall:
         result = ddi_on_ball(random_cloud(20, 4, rng))
         assert not result.design_certificate.is_design
         assert result.design_certificate.sphere_deviation > 1e-7
+        # the dual-weight frame holds off the sphere too
+        assert result.design_certificate.frame_deviation <= 1e-12
+
+    def test_counter_image_recertifies_with_dual_weights(self):
+        # pure qubit states through a 6-outcome measurement: a tight
+        # optimum whose counter-image is no design under uniform weights
+        rng = np.random.default_rng(21)
+        embedding = StateEmbedding.for_dimension(2)
+        states = np.array([embed_density(random_pure_density(2, rng), embedding)
+                           for _ in range(40)])
+        cloud = ProbabilityCloud(states @ random_ic_quasi_measurement(6, 4, 3).matrix.T)
+        result = ddi_on_ball(cloud)
+        assert result.design_certificate.is_design
+        points = result.counter_image.points
+        uniform = WeightedStateSet(points, np.full(len(points), 1.0 / len(points)))
+        assert is_two_design(uniform, 1e-7).frame_deviation > 1e-3
+        recheck = is_two_design(result.counter_image, 1e-7)
+        assert recheck.is_design
+        assert recheck.frame_deviation == pytest.approx(
+            result.design_certificate.frame_deviation, abs=1e-12)
+        np.testing.assert_array_equal(result.counter_image.weights, mvee(cloud).support_weights)
 
     def test_result_serializes(self):
         result = ddi_on_ball(ProbabilityCloud(np.eye(3)))
