@@ -64,16 +64,18 @@ from .inference import (
     DdiResult,
     Ellipsoid,
     ProbabilityCloud,
+    ddi_closed_form,
+    ddi_on_ball,
+    ellipsoid_to_measurement,
+    mvee,
+)
+from .verify import (
     RoundTripReport,
     VolumeBoundReport,
     composition_bijection_check,
-    ddi_closed_form,
-    ddi_on_ball,
     design_volume_bound_check,
-    ellipsoid_to_measurement,
     feasibility_check,
     inference_round_trip,
-    mvee,
 )
 
 __all__ = [

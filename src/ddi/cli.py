@@ -1,11 +1,11 @@
 """Command-line front end: infer, verify-design, embed, simulate.
 
 Exit codes: 0 success, 1 not certified (verify-design), 2 solver did not
-converge (a partial result is still written), 3 invalid input.  Output
-files are written to a temporary sibling and atomically renamed, so a
-complete prior result is never clobbered by a partial one.  Verbosity is
-controlled by the DDI_LOG environment variable (debug, info, warning,
-error).
+converge (a partial result is still written), 3 invalid input, a usage
+error or an unwritable output path.  Output files are written to a
+temporary sibling and atomically renamed, so a complete prior result is
+never clobbered by a partial one.  Verbosity is controlled by the
+DDI_LOG environment variable (debug, info, warning, error).
 """
 
 from __future__ import annotations
@@ -20,17 +20,12 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DdiError, NoConvergenceError, NotPureStateError
+from .errors import DdiError, NoConvergenceError
 from .geometry import StateEmbedding, embed_density, hermitian_from_dict
 from .designs import is_two_design, state_set_from_dict
-from .inference import (
-    assemble_result,
-    cloud_from_dict,
-    ddi_on_ball,
-    inference_round_trip,
-    mvee,
-)
+from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, random_ic_quasi_measurement, validate
+from .verify import inference_round_trip
 
 FORMAT_VERSION = 1
 
@@ -69,15 +64,18 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, staging = tempfile.mkstemp(dir=directory, prefix=".ddi-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(staging, path)
-    except BaseException:
-        if os.path.exists(staging):
-            os.unlink(staging)
-        raise
+        fd, staging = tempfile.mkstemp(dir=directory, prefix=".ddi-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(staging, path)
+        except BaseException:
+            if os.path.exists(staging):
+                os.unlink(staging)
+            raise
+    except OSError as exc:
+        raise DdiError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:
@@ -115,11 +113,7 @@ def cmd_infer(args) -> int:
 
 def cmd_verify_design(args) -> int:
     states = state_set_from_dict(_load_json(args.input))
-    try:
-        certificate = is_two_design(states, tol=args.tol)
-    except NotPureStateError as exc:
-        print(f"point off the pure-state sphere by {exc.deviation}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    certificate = is_two_design(states, tol=args.tol)
     _write_text(args.output, _json_text(certificate.to_dict()))
     return EXIT_OK if certificate.is_design else EXIT_NOT_CERTIFIED
 
@@ -210,25 +204,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="validation tolerance (default 1e-9)")
-        p.add_argument("--eps", type=float, default=1e-9,
-                       help="solver duality gap target (default 1e-9)")
-        p.add_argument("--max-iter", type=int, default=10 ** 6,
-                       help="solver iteration cap (default 1e6)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--output", "-o", default=None,
-                       help="output path (default: stdout)")
+    flags = {
+        "--tol": dict(type=float, default=1e-9, help="validation tolerance (default 1e-9)"),
+        "--eps": dict(type=float, default=1e-9, help="solver duality gap target (default 1e-9)"),
+        "--max-iter": dict(type=int, default=10 ** 6, help="solver iteration cap (default 1e6)"),
+        "--seed": dict(type=int, default=0, help="random seed (default 0)"),
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
+        p.add_argument("--output", "-o", default=None, help="output path (default: stdout)")
 
     p_infer = sub.add_parser("infer", help="infer the minimum-volume consistent measurement")
     p_infer.add_argument("input", help="cloud JSON: {n, distributions}")
-    common(p_infer)
+    add_flags(p_infer, "--tol", "--eps", "--max-iter")
     p_infer.set_defaults(func=cmd_infer)
 
     p_verify = sub.add_parser("verify-design", help="certify a weighted state set as a 2-design")
     p_verify.add_argument("input", help="state-set JSON: {l, points, weights}")
-    common(p_verify)
+    add_flags(p_verify, "--tol")
     p_verify.set_defaults(func=cmd_verify_design)
 
     p_embed = sub.add_parser("embed", help="embed density matrices into the real formalism")
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="expected Hilbert dimension (checked against the inputs)")
     p_embed.add_argument("--format", choices=("json", "csv"), default="json",
                          help="output format (default json)")
-    common(p_embed)
+    add_flags(p_embed, "--tol")
     p_embed.set_defaults(func=cmd_embed)
 
     p_sim = sub.add_parser(
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("n", type=int, help="number of outcomes")
     p_sim.add_argument("l", type=int, help="formalism dimension")
     p_sim.add_argument("trials", type=int, help="number of trials")
-    common(p_sim)
+    add_flags(p_sim, "--eps", "--max-iter", "--seed")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -254,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, our "not converged"
+        return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except DdiError as exc:

@@ -106,27 +106,35 @@ def frame_operator(states: WeightedStateSet) -> np.ndarray:
     return (f + f.T) / 2.0
 
 
-def is_two_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
-    """Certify whether a weighted state set is a 2-design.
+def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
+    """2-design certificate of a weighted state set, without raising.
 
-    All points must be unit norm within ``tol``; a point further off the
-    sphere raises :class:`NotPureStateError`.  Certification then
-    compares the frame operator against ``eye(l) / l`` in spectral norm.
+    ``is_design`` holds when the point norms are within ``tol`` of 1 and
+    the frame operator is within ``tol`` of ``eye(l) / l``.
     """
-    norms = np.linalg.norm(states.points, axis=1)
-    sphere_deviation = float(np.abs(norms - 1.0).max())
-    if sphere_deviation > tol:
-        raise NotPureStateError(
-            f"point lies off the pure-state sphere by {sphere_deviation}",
-            deviation=sphere_deviation)
     l = states.l
-    deviation = float(np.linalg.norm(frame_operator(states) - np.eye(l) / l, 2))
+    sphere_deviation = float(np.abs(np.linalg.norm(states.points, axis=1) - 1.0).max())
+    frame_deviation = float(np.linalg.norm(frame_operator(states) - np.eye(l) / l, 2))
     return DesignCertificate(
-        is_design=deviation <= tol,
-        frame_deviation=deviation,
+        is_design=max(sphere_deviation, frame_deviation) <= tol,
+        frame_deviation=frame_deviation,
         tol_used=float(tol),
         sphere_deviation=sphere_deviation,
     )
+
+
+def is_two_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
+    """Certify whether a set of pure states is a 2-design.
+
+    Same certificate as :func:`certify_design`, but a point off the unit
+    sphere by more than ``tol`` raises :class:`NotPureStateError`.
+    """
+    certificate = certify_design(states, tol)
+    if certificate.sphere_deviation > tol:
+        raise NotPureStateError(
+            f"point lies off the pure-state sphere by {certificate.sphere_deviation}",
+            deviation=certificate.sphere_deviation)
+    return certificate
 
 
 def regular_simplex(l: int) -> WeightedStateSet:
@@ -141,15 +149,8 @@ def regular_simplex(l: int) -> WeightedStateSet:
     return WeightedStateSet(points=np.eye(l), weights=np.full(l, 1.0 / l))
 
 
-def _haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed element of O(k) via sign-fixed QR."""
-    z = rng.standard_normal((k, k))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * np.where(d == 0.0, 1.0, np.sign(d))
-
-
 def _haar_orthogonal_batch(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed elements of O(k) via sign-fixed QR."""
     z = rng.standard_normal((count, k, k))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -167,7 +168,7 @@ def random_stabilizing_orthogonal(l: int, seed: int | np.random.Generator = 0) -
         raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
     rng = np.random.default_rng(seed)
     basis = hyperplane_basis(l)
-    q = _haar_orthogonal(l - 1, rng)
+    q = _haar_orthogonal_batch(l - 1, 1, rng)[0]
     return np.ones((l, l)) / l + basis @ q @ basis.T
 
 
@@ -265,8 +266,8 @@ def state_set_to_dict(states: WeightedStateSet) -> dict:
     """Serialize as ``{"l", "points", "weights"}``."""
     return {
         "l": states.l,
-        "points": [[float(x) for x in row] for row in states.points],
-        "weights": [float(w) for w in states.weights],
+        "points": states.points.tolist(),
+        "weights": states.weights.tolist(),
     }
 
 

@@ -207,7 +207,7 @@ def measurement_to_dict(meas: QuasiMeasurement) -> dict:
     return {
         "n": meas.n,
         "l": meas.l,
-        "matrix": [[float(x) for x in row] for row in meas.matrix],
+        "matrix": meas.matrix.tolist(),
     }
 
 

@@ -34,7 +34,7 @@ from ddi import (
     det_factorization_check,
     WeightedStateSet,
 )
-from ddi.inference import sample_enclosing_square
+from ddi.verify import sample_enclosing_square
 
 from helpers import (
     enclosing_ellipse_bruteforce,

@@ -292,6 +292,58 @@ class TestSimulate:
         assert "trials" in capsys.readouterr().err
 
 
+class TestUsageAndOutputErrors:
+    def test_usage_errors_are_invalid_input(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)
+        assert main(["infer"]) == EXIT_INVALID_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert main(["infer", inp, "--bogus"]) == EXIT_INVALID_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["infer", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert "ddi" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("infer", "--seed", "1"),
+        ("verify-design", "--seed", "1"),
+        ("verify-design", "--eps", "1e-6"),
+        ("verify-design", "--max-iter", "5"),
+        ("embed", "--seed", "1"),
+        ("embed", "--eps", "1e-6"),
+        ("embed", "--max-iter", "5"),
+        ("simulate", "--tol", "1e-9"),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, capsys,
+                                                        command, flag, value):
+        inputs = {
+            "infer": [write_json(tmp_path / "cloud.json", HALVES_CLOUD)],
+            "verify-design": [write_json(tmp_path / "states.json", {
+                "l": 3, "points": np.eye(3).tolist(), "weights": [1 / 3] * 3})],
+            "embed": [write_json(tmp_path / "ops.json", [
+                {"d": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}])],
+            "simulate": ["4", "3", "1"],
+        }
+        out = tmp_path / "out"
+        argv = [command, *inputs[command], "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        assert main([*argv, flag, value]) == EXIT_INVALID_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unwritable_output_is_invalid_input(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)
+        missing = tmp_path / "missing" / "result.json"
+        assert main(["infer", inp, "--output", str(missing)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        # the staging file is made, then the rename onto a directory fails
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["infer", inp, "--output", str(taken)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not list(tmp_path.glob(".ddi-*.tmp"))
+
+
 class TestSubprocessEntry:
     def test_module_entry_point_matches_in_process(self, tmp_path):
         inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)

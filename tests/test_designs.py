@@ -14,7 +14,7 @@ from ddi import (
     regular_simplex,
     rotate_set,
 )
-from ddi.designs import state_set_from_dict, state_set_to_dict
+from ddi.designs import certify_design, state_set_from_dict, state_set_to_dict
 
 
 def union(sets_and_weights):
@@ -104,6 +104,16 @@ class TestIsTwoDesign:
                              weights=np.array([0.5, 0.5]))
         with pytest.raises(NotPureStateError):
             is_two_design(s)
+
+    def test_certify_design_reports_off_sphere_points_without_raising(self):
+        s = WeightedStateSet(points=np.array([[0.5, 0.5], [0.0, 1.0]]),
+                             weights=np.array([0.5, 0.5]))
+        cert = certify_design(s, 1e-7)
+        assert not cert.is_design
+        assert cert.sphere_deviation == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-15)
+        assert cert.tol_used == 1e-7
+        on_sphere = union([(regular_simplex(3), 0.5), (regular_simplex(3), 0.5)])
+        assert certify_design(on_sphere, 1e-7) == is_two_design(on_sphere, 1e-7)
 
     def test_rotated_simplex_certifies(self):
         for l in (3, 4, 5):

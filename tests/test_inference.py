@@ -34,9 +34,8 @@ from ddi.inference import (
     assemble_result,
     cloud_from_dict,
     cloud_to_dict,
-    sample_enclosing_measurement,
-    sample_enclosing_square,
 )
+from ddi.verify import sample_enclosing_measurement, sample_enclosing_square
 
 from helpers import enclosing_ellipse_bruteforce, random_pure_density, triangle_area
 
@@ -77,6 +76,21 @@ class TestProbabilityCloud:
         cloud = ProbabilityCloud(np.eye(3))
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 0.5
+
+    def test_chart_is_fixed_on_construction(self):
+        rng = np.random.default_rng(4)
+        points = rng.dirichlet(np.ones(3), 8) @ random_ic_quasi_measurement(5, 3, 2).matrix.T
+        cloud = ProbabilityCloud(points)
+        assert cloud.chart.shape == (5, 2)
+        np.testing.assert_allclose(cloud.chart.T @ cloud.chart, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(cloud.base, points.mean(axis=0), atol=1e-15)
+        with pytest.raises(ValueError):
+            cloud.chart[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            cloud.base[0] = 0.5
+        assert mvee(cloud).chart is cloud.chart
+        # a hull that fills the hyperplane gets the canonical basis
+        np.testing.assert_array_equal(ProbabilityCloud(np.eye(4)).chart, hyperplane_basis(4))
 
 
 class TestMvee:
