@@ -107,6 +107,9 @@ def cmd_infer(args) -> int:
         logger.warning("no convergence: %s", exc)
         result = assemble_result(exc.partial, cloud)
         code = EXIT_NO_CONVERGENCE
+    logger.debug("solver: %d iterations, support %d of %d points, gap %.3g",
+                 result.iterations, np.count_nonzero(result.counter_image.weights > 0.0),
+                 len(cloud), result.optimality_gap)
     _write_text(args.output, _json_text(result.to_dict()))
     return code
 
@@ -151,7 +154,7 @@ def cmd_embed(args) -> int:
             "d": d,
             "l": embedding.l,
             "alpha": embedding.alpha,
-            "vectors": [[float(x) for x in v] for v in vectors],
+            "vectors": np.asarray(vectors).tolist(),
             "report": report,
         }))
     return EXIT_OK

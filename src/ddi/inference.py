@@ -12,8 +12,18 @@ computed inside an orthonormal chart of the cloud's affine hull.
 The solver is a barycentric coordinate ascent on the points lifted to
 homogeneous coordinates (the classic Khachiyan iteration, which handles
 the free center), sharpened with away and drop steps so the default
-duality gap of 1e-9 is reachable at desk scale.  The dual weights double
-as an optimality certificate.
+duality gap of 1e-9 is reachable at desk scale.  Its weights are
+affine-invariant, so it runs on chart coordinates whitened by a thin QR,
+where the uniform lifted scatter is the identity: a badly scaled cloud
+converges like a well scaled one, and uniform weights that are already
+optimal (a simplex) are recognized without a solve.  It starts from
+uniform weights or from the extreme points of each whitened axis
+(Kumar and Yildirim's core set), whichever has the larger log det, and
+carries the inverse scatter and all leverages through each step by a
+Sherman-Morrison update, O(m d) per step (Todd and Yildirim).  Both are
+recomputed from scratch periodically and before the solver stops, so
+the reported gap is never a value the iteration carried along.  The
+dual weights double as an optimality certificate.
 
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
@@ -164,37 +174,77 @@ def _affine_chart(points: np.ndarray, dim: int):
     return _sign_fix_columns(u[:, :dim]), base
 
 
+# Leverages carried by rank-one updates drift by rounding; rebuild them
+# from a fresh inverse this often, and whenever an update would divide by
+# less than _MIN_DENOMINATOR (a drop step of an almost essential point).
+_REFRESH_STEPS = 64
+_MIN_DENOMINATOR = 1e-2
+
+
 def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     """Barycentric ascent with away/drop steps on lifted points.
 
     Maximizes log det of the weighted scatter of ``(x_i, 1)``.  Returns
     ``(weights, gap, iterations, converged)`` where ``gap`` is the
     relative duality gap max(max_j w_j / D - 1, 1 - min_support w_j / D)
-    on the leverage values w_j.
+    on the leverage values w_j, computed from a fresh inverse, never one
+    carried through the updates.
+
+    The weights are affine-invariant, so the iteration runs on whitened
+    points, whose uniform lifted scatter is the identity; a thin QR keeps
+    that map as well conditioned as the points allow.  Uniform weights
+    are returned at once when they are optimal.  Otherwise the iteration
+    starts from them or from the extreme points of each whitened axis,
+    whichever has the larger log det, and carries the inverse scatter and
+    the leverages through each step by a rank-one update.
     """
     m, d = x.shape
     dim = d + 1
-    lifted = np.hstack([x, np.ones((m, 1))])
     u = np.full(m, 1.0 / m)
-    gap = np.inf
-    for iteration in range(max_iter + 1):
-        scatter = lifted.T @ (u[:, None] * lifted)
-        try:
-            sol = np.linalg.solve(scatter, lifted.T)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateInputError(
-                "support collapsed during the ellipsoid iteration") from exc
-        leverage = np.einsum("ij,ji->i", lifted, sol)
-        j_up = int(np.argmax(leverage))
+    if m == dim:
+        # d + 1 points spanning d dimensions, a simplex: the lifted points
+        # form an invertible square matrix, so every uniform leverage is
+        # exactly dim
+        return u, 0.0, 0, True
+    # constant column first, so the other columns of q are the centered,
+    # whitened axes
+    q = np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
+    lifted = np.sqrt(m) * q
+    # uniform weights: the inverse scatter is the identity, no solve needed
+    leverage = np.einsum("ij,ij->i", lifted, lifted)
+    gap = max(leverage.max() / dim - 1.0, 1.0 - leverage.min() / dim)
+    if gap <= eps:
+        return u, gap, 0, True
+    core = np.zeros(m)
+    core[q[:, 1:].argmax(axis=0)] = 1.0
+    core[q[:, 1:].argmin(axis=0)] = 1.0
+    core /= core.sum()
+    sign, logdet = np.linalg.slogdet(lifted.T @ (core[:, None] * lifted))
+    if sign > 0 and logdet > 0.0:  # uniform weights have log det 0 here
+        u = core
+    off_support = np.where(u > 0.0, 0.0, np.inf)
+    iteration = 0
+    stale = _REFRESH_STEPS
+    while True:
+        if stale >= _REFRESH_STEPS:
+            u /= u.sum()
+            try:
+                inverse = np.linalg.inv(lifted.T @ (u[:, None] * lifted))
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateInputError(
+                    "support collapsed during the ellipsoid iteration") from exc
+            leverage = np.einsum("ij,ij->i", lifted @ inverse, lifted)
+            stale = 0
+        j_up = int(leverage.argmax())
         up = float(leverage[j_up])
-        masked = np.where(u > 0.0, leverage, np.inf)
-        j_down = int(np.argmin(masked))
+        j_down = int((leverage + off_support).argmin())
         down = float(leverage[j_down])
         gap = max(up / dim - 1.0, 1.0 - down / dim)
-        if gap <= eps:
-            return u, gap, iteration, True
-        if iteration == max_iter:
-            break
+        if gap <= eps or iteration == max_iter:
+            if not stale:
+                return u, gap, iteration, gap <= eps
+            stale = _REFRESH_STEPS
+            continue
         if up / dim - 1.0 >= 1.0 - down / dim:
             j, lever = j_up, up
             step = (lever - dim) / (dim * (lever - 1.0))
@@ -203,20 +253,43 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
             bound = -u[j] / (1.0 - u[j])
             denom = dim * (lever - 1.0)
             step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
-        u = (1.0 - step) * u
-        u[j] += step
-        np.clip(u, 0.0, None, out=u)
-        u /= u.sum()
-    return u, gap, max_iter, False
+        # only u[j] can change sign; the sum stays 1 up to rounding, which
+        # each refresh removes
+        u *= 1.0 - step
+        u[j] = max(u[j] + step, 0.0)
+        off_support[j] = 0.0 if u[j] > 0.0 else np.inf
+        iteration += 1
+        stale += 1
+        # Sherman-Morrison for (1 - step) M + step a_j a_j^T
+        ratio = step / (1.0 - step)
+        denominator = 1.0 + ratio * lever
+        if stale < _REFRESH_STEPS and denominator >= _MIN_DENOMINATOR:
+            column = inverse @ lifted[j]
+            cross = lifted @ column
+            coef = ratio / denominator
+            inverse -= (coef * column)[:, None] * column
+            inverse /= 1.0 - step
+            cross *= cross
+            cross *= coef
+            leverage -= cross
+            leverage /= 1.0 - step
+        else:
+            stale = _REFRESH_STEPS
 
 
 def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) -> Ellipsoid:
     """Minimum-volume enclosing ellipsoid of the cloud, center free.
 
     The problem is solved in an orthonormal chart of the cloud's affine
-    hull, whose dimension is ``span_dim - 1``.  On convergence every
-    point is inside within a ``(1 + eps)`` inflation and shrinking any
-    semi-axis by more than about ``10 * eps`` ejects at least one point.
+    hull, whose dimension is ``span_dim - 1``.  The solver works on
+    whitened chart coordinates, starts from uniform weights or a core set
+    of extreme points, whichever has the larger log det, and updates its
+    leverages by rank one; ``shape`` and ``center`` are built from the
+    returned weights in the original chart.  ``optimality_gap`` is
+    computed from a fresh inverse at those weights, converged or not.  On
+    convergence every point is inside within a ``(1 + eps)`` inflation
+    and shrinking any semi-axis by more than about ``10 * eps`` ejects at
+    least one point.
 
     Raises
     ------
@@ -233,7 +306,7 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     x = (cloud.points - base) @ chart
     weights, gap, iterations, converged = _khachiyan_weights(x, eps, int(max_iter))
     center_x = weights @ x
-    scatter = x.T @ (weights[:, None] * x) - np.outer(center_x, center_x)
+    scatter = x.T @ (weights[:, None] * x) - center_x[:, None] * center_x
     shape = d * (scatter + scatter.T) / 2.0
     ellipsoid = Ellipsoid(
         center=base + chart @ center_x,

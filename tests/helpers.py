@@ -106,3 +106,69 @@ def enclosing_ellipse_bruteforce(vertices, starts=6, seed=0):
 def triangle_area(points2d):
     a, b, c = np.asarray(points2d, dtype=float)
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def chart_lift(cloud):
+    """The cloud's chart coordinates, lifted to (x_i, 1), unwhitened."""
+    x = (cloud.points - cloud.base) @ cloud.chart
+    return x, np.hstack([x, np.ones((len(x), 1))])
+
+
+def duality_gap_dense(cloud, weights):
+    """Relative duality gap at ``weights``, from one dense solve in the raw chart."""
+    _, lifted = chart_lift(cloud)
+    dim = lifted.shape[1]
+    scatter = lifted.T @ (weights[:, None] * lifted)
+    leverage = np.einsum("ij,ji->i", lifted, np.linalg.solve(scatter, lifted.T))
+    return max(leverage.max() / dim - 1.0, 1.0 - leverage[weights > 0].min() / dim)
+
+
+def khachiyan_weights_dense(x, eps, max_iter):
+    """Reference ellipsoid iteration: uniform start, full solve every step.
+
+    The same toward/away/drop step rule as the production solver, but the
+    lifted scatter is rebuilt and solved against every point at each
+    step, O(m d^2) per step, in the raw coordinates.  Returns
+    ``(weights, gap, iterations, converged)``.
+    """
+    m, d = x.shape
+    dim = d + 1
+    lifted = np.hstack([x, np.ones((m, 1))])
+    u = np.full(m, 1.0 / m)
+    gap = np.inf
+    for iteration in range(max_iter + 1):
+        scatter = lifted.T @ (u[:, None] * lifted)
+        leverage = np.einsum("ij,ji->i", lifted, np.linalg.solve(scatter, lifted.T))
+        j_up = int(np.argmax(leverage))
+        up = float(leverage[j_up])
+        masked = np.where(u > 0.0, leverage, np.inf)
+        j_down = int(np.argmin(masked))
+        down = float(leverage[j_down])
+        gap = max(up / dim - 1.0, 1.0 - down / dim)
+        if gap <= eps:
+            return u, gap, iteration, True
+        if iteration == max_iter:
+            break
+        if up / dim - 1.0 >= 1.0 - down / dim:
+            j, lever = j_up, up
+            step = (lever - dim) / (dim * (lever - 1.0))
+        else:
+            j, lever = j_down, down
+            bound = -u[j] / (1.0 - u[j])
+            denom = dim * (lever - 1.0)
+            step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
+        u = (1.0 - step) * u
+        u[j] += step
+        np.clip(u, 0.0, None, out=u)
+        u /= u.sum()
+    return u, gap, max_iter, False
+
+
+def mvee_dense(cloud, eps, max_iter=10 ** 6):
+    """``(center, shape)`` of the cloud's ellipsoid by the reference iteration."""
+    x, _ = chart_lift(cloud)
+    weights, _, _, converged = khachiyan_weights_dense(x, eps, max_iter)
+    assert converged, "reference iteration did not converge"
+    center_x = weights @ x
+    shape = x.shape[1] * (x.T @ (weights[:, None] * x) - np.outer(center_x, center_x))
+    return cloud.base + cloud.chart @ center_x, (shape + shape.T) / 2.0

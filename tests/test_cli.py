@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -99,6 +100,21 @@ class TestInfer:
         counter = write_json(tmp_path / "counter.json", result["counter_image"])
         assert main(["verify-design", counter, "--tol", "1e-7"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["is_design"] is True
+
+    def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, caplog):
+        inp = hard_cloud(tmp_path)
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        assert main(["infer", inp, "--output", str(quiet)]) == EXIT_OK
+        monkeypatch.setenv("DDI_LOG", "debug")
+        with caplog.at_level(logging.DEBUG, logger="ddi"):
+            assert main(["infer", inp, "--output", str(loud)]) == EXIT_OK
+        result = json.loads(quiet.read_text())
+        support = sum(w > 0.0 for w in result["counter_image"]["weights"])
+        expected = (f"solver: {result['iterations']} iterations, support {support} "
+                    f"of 30 points, gap {result['optimality_gap']:.3g}")
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("solver:")] == [expected]
+        assert loud.read_bytes() == quiet.read_bytes()
 
     def test_malformed_json_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

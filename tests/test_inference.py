@@ -37,7 +37,13 @@ from ddi.inference import (
 )
 from ddi.verify import sample_enclosing_measurement, sample_enclosing_square
 
-from helpers import enclosing_ellipse_bruteforce, random_pure_density, triangle_area
+from helpers import (
+    duality_gap_dense,
+    enclosing_ellipse_bruteforce,
+    mvee_dense,
+    random_pure_density,
+    triangle_area,
+)
 
 # 2x2 member stretching the tangent direction by 2; det is 2 by direct
 # expansion, so gram_det = 4 and tr(M^-2) - 2 = 1 + 1/4 - 2 = -3/4
@@ -203,6 +209,46 @@ class TestMvee:
         assert isinstance(exc.partial, Ellipsoid)
         # the same cloud converges without the cap
         assert mvee(cloud).optimality_gap <= 1e-9
+
+    def test_badly_scaled_chart_converges(self):
+        # clouds seen through an IC measurement of condition 9.4e4, where
+        # the raw lifted scatter has condition about 4e12: 6 points form a
+        # simplex, 12 points need real steps
+        a = random_ic_quasi_measurement(6, 6, 6).matrix
+        for m in (6, 12):
+            for seed in range(3):
+                points = np.random.default_rng(seed).dirichlet(np.ones(6), m)
+                e = mvee(ProbabilityCloud(points @ a.T), max_iter=20000)
+                assert e.optimality_gap <= 1e-9
+
+    def test_gap_is_recomputed_from_scratch(self):
+        rng = np.random.default_rng(31)
+        for n, m in ((4, 4), (4, 40), (5, 120), (6, 300), (7, 60), (8, 300)):
+            cloud = random_cloud(m, n, rng)
+            e = mvee(cloud)
+            assert e.optimality_gap <= 1e-9
+            assert abs(duality_gap_dense(cloud, e.support_weights)
+                       - e.optimality_gap) <= 1e-12
+        cloud = random_cloud(30, 4, np.random.default_rng(6))
+        with pytest.raises(NoConvergenceError) as info:
+            mvee(cloud, eps=1e-9, max_iter=2)
+        partial = info.value.partial
+        assert abs(duality_gap_dense(cloud, partial.support_weights)
+                   - partial.optimality_gap) <= 1e-12
+
+    def test_matches_dense_reference_iteration(self):
+        rng = np.random.default_rng(32)
+        clouds = [random_cloud(m, n, rng) for m, n in ((20, 4), (60, 5), (150, 6), (300, 8))]
+        embedding = StateEmbedding.for_dimension(3)
+        states = np.array([embed_density(random_pure_density(3, rng), embedding)
+                           for _ in range(200)])
+        clouds.append(ProbabilityCloud(states @ random_ic_quasi_measurement(12, 9, 4).matrix.T))
+        for cloud in clouds:
+            e = mvee(cloud, eps=1e-12)
+            center, shape = mvee_dense(cloud, eps=1e-12)
+            for actual, expected in ((e.center, center), (e.shape, shape)):
+                np.testing.assert_allclose(actual, expected, rtol=0.0,
+                                           atol=1e-8 * np.abs(expected).max())
 
     def test_rejects_bad_parameters(self):
         cloud = ProbabilityCloud(np.eye(3))

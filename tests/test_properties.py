@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from ddi import ProbabilityCloud, ddi_on_ball, random_ic_quasi_measurement
+from ddi import (
+    ProbabilityCloud,
+    ddi_on_ball,
+    hyperplane_basis,
+    mvee,
+    random_ic_quasi_measurement,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -70,3 +76,33 @@ def test_composition_scales_the_volume_by_the_gram_determinant(data):
     direct = ddi_on_ball(ProbabilityCloud(points)).volume_sq
     composed = ddi_on_ball(ProbabilityCloud(points @ a.T)).volume_sq
     assert composed == pytest.approx(np.linalg.det(a.T @ a) * direct, rel=1e-8)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_affine_maps_of_the_chart_carry_the_ellipsoid_along(data):
+    # y -> B y + t on the chart coordinates y = H^T (p - u/n), with cond(B) >= 1e4
+    points = data.draw(dirichlet_points())
+    n = points.shape[1]
+    d = n - 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    left = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    right = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    cond = 10.0 ** data.draw(st.floats(4.0, 5.0))
+    b = (left * np.geomspace(1.0, 1.0 / cond, d)) @ right
+    shift = rng.standard_normal(d)
+    basis, origin = hyperplane_basis(n), np.full(n, 1.0 / n)
+    image = origin + ((points - origin) @ basis @ b.T + shift) @ basis.T
+    direct = mvee(ProbabilityCloud(points))
+    mapped = mvee(ProbabilityCloud(image))
+    # pull the image's ellipsoid back and whiten it by the direct one
+    b_inv = np.linalg.inv(b)
+    white = np.linalg.inv(np.linalg.cholesky(direct.shape))
+    back_shape = b_inv @ mapped.shape @ b_inv.T
+    back_center = b_inv @ (basis.T @ (mapped.center - origin) - shift)
+    # a stored shape of condition k is accurate to about k * 1e-16 in its
+    # smallest direction
+    tol = 1e-8 + 1e-14 * np.linalg.cond(mapped.shape)
+    np.testing.assert_allclose(white @ back_shape @ white.T, np.eye(d), rtol=0.0, atol=tol)
+    np.testing.assert_allclose(white @ (back_center - basis.T @ (direct.center - origin)),
+                               np.zeros(d), rtol=0.0, atol=tol)
