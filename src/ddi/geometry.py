@@ -304,6 +304,6 @@ def hermitian_to_dict(a: np.ndarray) -> dict:
         raise InvalidInputError("operator must be a square matrix")
     return {
         "d": int(a.shape[0]),
-        "re": [[float(x) for x in row] for row in a.real],
-        "im": [[float(x) for x in row] for row in a.imag],
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
     }

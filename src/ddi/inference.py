@@ -7,7 +7,9 @@ all informationally complete quasi-measurements whose range contains the
 cloud.  Because every such range is an ellipsoid on the distribution
 hyperplane and the squared range volume is monotone in the ellipsoid
 volume, the problem reduces to a minimum-volume enclosing ellipsoid
-computed inside an orthonormal chart of the cloud's affine hull.
+computed inside an orthonormal chart of the cloud's affine hull, from
+which a centered direction thinner than ``DEFAULT_TOL`` times the raw
+scale of the points is dropped.
 
 The solver is a barycentric coordinate ascent on the points lifted to
 homogeneous coordinates (the classic Khachiyan iteration, which handles
@@ -28,7 +30,8 @@ dual weights double as an optimality certificate.
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
 gauge-fixed: its tangent block is the symmetric positive square root of
-the ellipsoid shape, expressed in deterministic charts.
+the ellipsoid shape in deterministic charts.  The ellipsoid carries that
+root, from an SVD of its weighted support, and derives the shape from it.
 
 Optimality has a sharp witness: the counter-image of the cloud under the
 optimal measurement, weighted by the solver's dual weights, satisfies
@@ -58,7 +61,6 @@ from .designs import (
     DesignCertificate,
     WeightedStateSet,
     certify_design,
-    is_two_design,
     regular_simplex,
     state_set_to_dict,
 )
@@ -81,8 +83,6 @@ class ProbabilityCloud:
         Entries may be negative (quasi-probabilities are allowed).
     sum_tol : float
         Absolute tolerance on the row sums.
-    rank_tol : float
-        Relative singular-value cutoff used to compute ``span_dim``.
 
     Attributes
     ----------
@@ -92,9 +92,11 @@ class ProbabilityCloud:
     chart, base : ndarray
         Orthonormal ``(n, span_dim - 1)`` chart of the affine hull and its
         origin, the centroid; computed once here for every solve and draw.
+        A centered direction thinner than ``DEFAULT_TOL`` times the raw
+        scale ``sqrt(s_1^2 + m |base|^2)`` is dropped from the chart.
     """
 
-    def __init__(self, points, sum_tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_TOL):
+    def __init__(self, points, sum_tol: float = DEFAULT_TOL):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("cloud must be an (m, n) array with m >= 1, n >= 2")
@@ -105,14 +107,12 @@ class ProbabilityCloud:
         if worst > sum_tol:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
-        sv = np.linalg.svd(points, compute_uv=False)
-        span = int(np.count_nonzero(sv > rank_tol * sv[0]))
-        if span < 2:
+        self.points = points.copy()
+        self.chart, self.base = _affine_chart(self.points)
+        self.span_dim = self.chart.shape[1] + 1
+        if self.span_dim < 2:
             raise DegenerateInputError(
                 "cloud must span at least a 2-dimensional subspace")
-        self.points = points.copy()
-        self.span_dim = span
-        self.chart, self.base = _affine_chart(self.points, span - 1)
         for array in (self.points, self.chart, self.base):
             array.setflags(write=False)
 
@@ -126,52 +126,55 @@ class ProbabilityCloud:
 
 @dataclass(frozen=True)
 class Ellipsoid:
-    """Ellipsoid ``{center + chart @ sqrt(shape) @ x : |x| <= 1}``.
+    """Ellipsoid ``{center + chart @ root @ x : |x| <= 1}``.
 
     ``chart`` has orthonormal columns spanning the tangent space of the
-    cloud's affine hull; ``shape`` is symmetric positive definite in
-    those coordinates, so its eigenvalues are squared semi-axes.
+    cloud's affine hull; ``root`` is symmetric positive definite in those
+    coordinates, so its eigenvalues are the semi-axes.  The ellipsoid
+    carries ``root``, and ``shape = root @ root`` is derived from it.
     ``support_weights`` is the dual certificate from the solver.
     """
 
     center: np.ndarray
-    shape: np.ndarray
+    root: np.ndarray
     chart: np.ndarray
     support_weights: np.ndarray = field(repr=False)
     optimality_gap: float
     iterations: int
 
     def __post_init__(self):
-        shape = np.asarray(self.shape, dtype=float)
-        if np.abs(shape - shape.T).max() > 1e-9 * max(1.0, np.abs(shape).max()):
-            raise InvalidInputError("ellipsoid shape must be symmetric")
+        root = np.asarray(self.root, dtype=float)
+        if np.abs(root - root.T).max() > 1e-9 * max(1.0, np.abs(root).max()):
+            raise InvalidInputError("ellipsoid root must be symmetric")
+        try:
+            np.linalg.cholesky(root)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError("ellipsoid root must be positive definite") from exc
+
+    @property
+    def shape(self) -> np.ndarray:
+        return self.root @ self.root
 
 
 def _sign_fix_columns(w: np.ndarray) -> np.ndarray:
     # Deterministic gauge: flip each column so its largest entry is positive.
-    w = w.copy()
-    for k in range(w.shape[1]):
-        col = w[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            w[:, k] = -col
-    return w
+    pivots = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
+    return np.where(pivots < 0, -w, w)
 
 
-def _affine_chart(points: np.ndarray, dim: int):
-    """Orthonormal chart (n, dim) of the affine hull and the base point."""
+def _affine_chart(points: np.ndarray):
+    """Orthonormal chart (n, rank) of the affine hull and the base point."""
     base = points.mean(axis=0)
-    centered = points - base
-    u, sv, _ = np.linalg.svd(centered.T, full_matrices=False)
-    rank = int(np.count_nonzero(sv > DEFAULT_TOL * max(sv[0], 1e-300)))
-    if rank != dim:
-        raise DegenerateInputError(
-            f"cloud affine hull has dimension {rank}, expected {dim}")
+    u, sv, _ = np.linalg.svd((points - base).T, full_matrices=False)
+    scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
     n = points.shape[1]
-    if dim == n - 1:
+    # centered rows sum to 0 within the row-sum tolerance: at most n - 1 axes
+    rank = min(int(np.count_nonzero(sv > DEFAULT_TOL * scale)), n - 1)
+    if rank == n - 1:
         # the hull fills the hyperplane; use the canonical basis so the
         # ball itself maps to the identity measurement
         return hyperplane_basis(n), base
-    return _sign_fix_columns(u[:, :dim]), base
+    return _sign_fix_columns(u[:, :rank]), base
 
 
 # Leverages carried by rank-one updates drift by rounding; rebuild them
@@ -284,7 +287,7 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     hull, whose dimension is ``span_dim - 1``.  The solver works on
     whitened chart coordinates, starts from uniform weights or a core set
     of extreme points, whichever has the larger log det, and updates its
-    leverages by rank one; ``shape`` and ``center`` are built from the
+    leverages by rank one; ``root`` and ``center`` are built from the
     returned weights in the original chart.  ``optimality_gap`` is
     computed from a fresh inverse at those weights, converged or not.  On
     convergence every point is inside within a ``(1 + eps)`` inflation
@@ -306,11 +309,13 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     x = (cloud.points - base) @ chart
     weights, gap, iterations, converged = _khachiyan_weights(x, eps, int(max_iter))
     center_x = weights @ x
-    scatter = x.T @ (weights[:, None] * x) - center_x[:, None] * center_x
-    shape = d * (scatter + scatter.T) / 2.0
+    # root = V S V^T from the thin SVD A = U S V^T; shape = A^T A is never formed
+    support = weights > 0.0
+    factor = np.sqrt(d * weights[support])[:, None] * (x[support] - center_x)
+    _, sv, vt = np.linalg.svd(factor, full_matrices=False)
     ellipsoid = Ellipsoid(
         center=base + chart @ center_x,
-        shape=shape,
+        root=(vt.T * sv) @ vt,
         chart=chart,
         support_weights=weights,
         optimality_gap=float(gap),
@@ -328,10 +333,10 @@ def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     """Canonical quasi-measurement whose range is the given ellipsoid.
 
     Maps the ball center ``u/l`` to the ellipsoid center and the tangent
-    space of the ball onto the ellipsoid through the symmetric positive
-    square root of the shape, divided by the ball radius.  The result is
-    informationally complete and satisfies the normalization identity by
-    construction; it is the gauge-fixed representative of its orbit.
+    space of the ball onto the ellipsoid through its symmetric positive
+    ``root``, divided by the ball radius.  The result is informationally
+    complete and satisfies the normalization identity by construction; it
+    is the gauge-fixed representative of its orbit.
     """
     l = cloud.span_dim
     chart = ellipsoid.chart
@@ -339,19 +344,13 @@ def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
         raise InvalidInputError("ellipsoid chart does not match the cloud")
     # light containment check, tolerant of the solver's eps-level slack
     offsets = (cloud.points - ellipsoid.center) @ chart
-    try:
-        quad = np.einsum("ij,ji->i", offsets, np.linalg.solve(ellipsoid.shape, offsets.T))
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError("ellipsoid shape is singular") from exc
+    white = np.linalg.solve(ellipsoid.root, offsets.T)
+    quad = np.einsum("ij,ij->j", white, white)
     if quad.max() > 1.0 + containment_tol:
         raise InvalidInputError(
             f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
-    eigvals, eigvecs = np.linalg.eigh(ellipsoid.shape)
-    if eigvals[0] <= 0.0:
-        raise InvalidInputError("ellipsoid shape must be positive definite")
-    root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    tangent = hyperplane_basis(l)
-    matrix = np.outer(ellipsoid.center, np.ones(l)) + (chart @ root @ tangent.T) / ball_radius(l)
+    tangent = chart @ ellipsoid.root @ hyperplane_basis(l).T
+    matrix = np.outer(ellipsoid.center, np.ones(l)) + tangent / ball_radius(l)
     return validate(matrix)
 
 
@@ -385,7 +384,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
 
     The counter-image carries the solver's dual weights
     ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid
-    shape is built from those weights, so their frame operator is
+    root is built from those weights, so their frame operator is
     ``eye(l) / l`` up to rounding, converged or not.  The certificate is
     :func:`certify_design` of that counter-image, so ``is_design`` holds
     when every point is also on the sphere, that is, when the optimum is
@@ -445,7 +444,7 @@ def ddi_closed_form(cloud: ProbabilityCloud, design_tol: float = DESIGN_TOL) -> 
         measurement=meas,
         volume_sq=range_volume_sq(meas),
         counter_image=counter,
-        design_certificate=is_two_design(counter, design_tol),
+        design_certificate=certify_design(counter, design_tol),
         gauge_note=GAUGE_NOTE + "; columns follow the input distribution order",
         optimality_gap=0.0,
         iterations=0,

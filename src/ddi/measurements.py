@@ -68,18 +68,18 @@ class QuasiMeasurement:
         return pseudoinverse(self.matrix, rank_tol)
 
 
-def validate(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> QuasiMeasurement:
+def validate(matrix: np.ndarray) -> QuasiMeasurement:
     """Check the normalization identity and wrap the matrix.
 
     Raises :class:`NotAQuasiMeasurementError` carrying the residual
-    ``|M^T u_n - M^+ M u_l|`` when it exceeds ``tol``.
+    ``|M^T u_n - M^+ M u_l|`` when it exceeds ``DEFAULT_TOL``.
     """
     meas = QuasiMeasurement(matrix=matrix)
     m = meas.matrix
     lhs = m.T @ np.ones(meas.n)
     rhs = m.T @ pseudoinverse(m.T) @ np.ones(meas.l)
     residual = float(np.linalg.norm(lhs - rhs))
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise NotAQuasiMeasurementError(
             f"normalization identity fails with residual {residual}", residual=residual)
     return meas
@@ -110,14 +110,14 @@ def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL
     return float(np.linalg.norm(gram - np.eye(meas.l), 2)) <= tol
 
 
-def range_volume_sq(meas: QuasiMeasurement, rank_tol: float = DEFAULT_TOL) -> float:
+def range_volume_sq(meas: QuasiMeasurement) -> float:
     """Squared range volume ``det(M^T M)`` via singular values.
 
     Raises :class:`DegenerateRangeError` when the matrix is rank
-    deficient relative to ``rank_tol``.
+    deficient relative to ``DEFAULT_TOL``.
     """
     sv = np.linalg.svd(meas.matrix, compute_uv=False)
-    if meas.n < meas.l or sv[-1] <= rank_tol * sv[0]:
+    if meas.n < meas.l or sv[-1] <= DEFAULT_TOL * sv[0]:
         raise DegenerateRangeError("measurement range is rank deficient")
     return float(np.prod(sv * sv))
 
@@ -211,7 +211,7 @@ def measurement_to_dict(meas: QuasiMeasurement) -> dict:
     }
 
 
-def measurement_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> QuasiMeasurement:
+def measurement_from_dict(obj: dict) -> QuasiMeasurement:
     """Parse and validate the ``{"n", "l", "matrix"}`` layout."""
     try:
         n = int(obj["n"])
@@ -221,4 +221,4 @@ def measurement_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> QuasiMeasureme
         raise InvalidInputError(f"malformed measurement object: {exc}") from exc
     if matrix.shape != (n, l):
         raise InvalidInputError(f"matrix shape {matrix.shape} does not match n={n}, l={l}")
-    return validate(matrix, tol)
+    return validate(matrix)

@@ -259,7 +259,7 @@ class TestMvee:
 
     def test_asymmetric_shape_rejected(self):
         with pytest.raises(InvalidInputError):
-            Ellipsoid(center=np.zeros(3), shape=np.array([[1.0, 0.5], [0.0, 1.0]]),
+            Ellipsoid(center=np.zeros(3), root=np.array([[1.0, 0.5], [0.0, 1.0]]),
                       chart=np.zeros((3, 2)), support_weights=np.ones(1),
                       optimality_gap=0.0, iterations=0)
 
@@ -302,7 +302,7 @@ class TestEllipsoidToMeasurement:
     def test_rejects_non_enclosing_ellipsoid(self):
         cloud = ProbabilityCloud(np.eye(3))
         e = mvee(cloud)
-        small = Ellipsoid(center=e.center, shape=0.25 * e.shape, chart=e.chart,
+        small = Ellipsoid(center=e.center, root=0.5 * e.root, chart=e.chart,
                           support_weights=e.support_weights,
                           optimality_gap=e.optimality_gap, iterations=e.iterations)
         with pytest.raises(InvalidInputError):
