@@ -34,6 +34,7 @@ deterministic; any other orthonormal pair gives the same geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,13 +105,15 @@ def pseudoinverse(a: np.ndarray, rank_tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.pinv(a, rcond=rank_tol)
 
 
+@lru_cache
 def hyperplane_basis(l: int) -> np.ndarray:
     """Orthonormal basis of the subspace of R^l orthogonal to the all-ones vector.
 
     Returns an ``(l, l-1)`` matrix with orthonormal columns, each summing
     to zero.  Column ``k`` is the Helmert vector with ``k+1`` leading
     ones followed by ``-(k+1)``, normalized.  The construction is
-    deterministic, so it doubles as the canonical gauge.
+    deterministic, so it doubles as the canonical gauge.  Each ``l`` is
+    built once and the same read-only array is returned on every call.
     """
     if l < 2:
         raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
@@ -119,6 +122,7 @@ def hyperplane_basis(l: int) -> np.ndarray:
         cols[:k, k - 1] = 1.0
         cols[k, k - 1] = -float(k)
         cols[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    cols.setflags(write=False)
     return cols
 
 

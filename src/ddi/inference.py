@@ -32,6 +32,13 @@ map fixing the all-ones direction.  The returned representative is
 gauge-fixed: its tangent block is the symmetric positive square root of
 the ellipsoid shape in deterministic charts.  The ellipsoid carries that
 root, from an SVD of its weighted support, and derives the shape from it.
+The measurement's volume and the cloud's counter-image come from that
+root through an ``l x l`` block triangular factor ``K`` of the
+measurement, with no decomposition of the measurement itself;
+:func:`~ddi.measurements.validate`,
+:func:`~ddi.measurements.range_volume_sq` and
+:func:`~ddi.geometry.pseudoinverse` are the independent oracles the
+tests compare them with.
 
 Optimality has a sharp witness: the counter-image of the cloud under the
 optimal measurement, weighted by the solver's dual weights, satisfies
@@ -51,8 +58,10 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    DegenerateRangeError,
     InvalidInputError,
     NoConvergenceError,
+    NotAQuasiMeasurementError,
     NotClosedFormCaseError,
 )
 from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
@@ -150,6 +159,11 @@ class Ellipsoid:
             np.linalg.cholesky(root)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError("ellipsoid root must be positive definite") from exc
+        # the measurement's volume and counter-image are read off root
+        # through this chart, which holds only for orthonormal columns
+        chart = np.asarray(self.chart, dtype=float)
+        if np.abs(chart.T @ chart - np.eye(chart.shape[1])).max() > DEFAULT_TOL:
+            raise InvalidInputError("ellipsoid chart must have orthonormal columns")
 
     @property
     def shape(self) -> np.ndarray:
@@ -328,6 +342,63 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     return ellipsoid
 
 
+def _assemble(ellipsoid: Ellipsoid, cloud: ProbabilityCloud, containment_tol: float):
+    """Measurement, squared range volume and counter-image of the cloud, from ``root``.
+
+    With ``c`` the center, ``C`` the chart, ``T = hyperplane_basis(l)``,
+    ``r`` the ball radius, ``c_par = C^T c`` and ``c_perp = c - C c_par``,
+    the measurement is ``M = c u^T + C root T^T / r``.  For the orthogonal
+    ``Q = [u / sqrt(l), T]``, ``M Q = [c_perp / |c_perp|, C] K`` with
+
+        K = [[sqrt(l) |c_perp|, 0], [sqrt(l) c_par, root / r]],
+
+    an ``l x l`` block lower triangular matrix behind a factor with
+    orthonormal columns.  So ``M`` shares its singular values with ``K``,
+    and ``M^+ p = Q K^-1 [c_perp / |c_perp|, C]^T p`` is read off the
+    whitened offsets ``w = root^-1 C^T (p - c)`` that the containment
+    check solves for: with ``t = c_perp . (p - c) / |c_perp|^2``,
+
+        M^+ p = (1 + t) u / l + r T (w - t root^-1 c_par),
+
+    which never forms the large entries of ``M^+`` of an almost flat
+    cloud.  No decomposition of ``M`` is taken.
+    """
+    l = cloud.span_dim
+    chart, center, root = ellipsoid.chart, ellipsoid.center, ellipsoid.root
+    if chart.shape != (cloud.n, l - 1):
+        raise InvalidInputError("ellipsoid chart does not match the cloud")
+    offsets = cloud.points - center
+    along = chart.T @ center
+    normal = center - chart @ along
+    # one solve for the whitened offsets and root^-1 c_par
+    solved = np.linalg.solve(root, np.column_stack([(offsets @ chart).T, along]))
+    white, lift = solved[:, :-1], solved[:, -1]
+    # light containment check, tolerant of the solver's eps-level slack
+    quad = np.einsum("ij,ij->j", white, white)
+    if quad.max() > 1.0 + containment_tol:
+        raise InvalidInputError(
+            f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
+    radius = ball_radius(l)
+    normal_sq = float(normal @ normal)
+    k = np.zeros((l, l))
+    k[0, 0] = np.sqrt(l * normal_sq)
+    k[1:, 0] = np.sqrt(l) * along
+    k[1:, 1:] = root / radius
+    sv = np.linalg.svd(k, compute_uv=False)
+    if sv[-1] <= DEFAULT_TOL * sv[0]:
+        raise DegenerateRangeError("measurement range is rank deficient")
+    basis = hyperplane_basis(l)
+    matrix = np.outer(center, np.ones(l)) + chart @ root @ basis.T / radius
+    # full rank, so the normalization identity says every column sums to 1
+    residual = float(np.linalg.norm(matrix.sum(axis=0) - 1.0))
+    if residual > DEFAULT_TOL:
+        raise NotAQuasiMeasurementError(
+            f"normalization identity fails with residual {residual}", residual=residual)
+    t = offsets @ normal / normal_sq
+    counter = ((1.0 + t) / l)[:, None] + radius * (white.T - t[:, None] * lift) @ basis.T
+    return QuasiMeasurement(matrix=matrix), float(np.prod(sv * sv)), counter
+
+
 def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
                              containment_tol: float = 1e-6) -> QuasiMeasurement:
     """Canonical quasi-measurement whose range is the given ellipsoid.
@@ -336,22 +407,19 @@ def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     space of the ball onto the ellipsoid through its symmetric positive
     ``root``, divided by the ball radius.  The result is informationally
     complete and satisfies the normalization identity by construction; it
-    is the gauge-fixed representative of its orbit.
+    is the gauge-fixed representative of its orbit.  Its rank is decided,
+    and :func:`assemble_result` takes the volume and the counter-image,
+    from ``root`` through an ``l x l`` factor ``K`` of the measurement, so
+    no decomposition of the measurement is taken; :func:`validate`,
+    :func:`range_volume_sq` and :func:`pseudoinverse` are the independent
+    oracles the tests compare them with.
+
+    Raises :class:`InvalidInputError` when the ellipsoid does not enclose
+    the cloud, :class:`DegenerateRangeError` when the measurement is rank
+    deficient relative to ``DEFAULT_TOL`` and
+    :class:`NotAQuasiMeasurementError` when a column sum misses 1.
     """
-    l = cloud.span_dim
-    chart = ellipsoid.chart
-    if chart.shape != (cloud.n, l - 1):
-        raise InvalidInputError("ellipsoid chart does not match the cloud")
-    # light containment check, tolerant of the solver's eps-level slack
-    offsets = (cloud.points - ellipsoid.center) @ chart
-    white = np.linalg.solve(ellipsoid.root, offsets.T)
-    quad = np.einsum("ij,ij->j", white, white)
-    if quad.max() > 1.0 + containment_tol:
-        raise InvalidInputError(
-            f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
-    tangent = chart @ ellipsoid.root @ hyperplane_basis(l).T
-    matrix = np.outer(ellipsoid.center, np.ones(l)) + tangent / ball_radius(l)
-    return validate(matrix)
+    return _assemble(ellipsoid, cloud, containment_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -390,6 +458,13 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     when every point is also on the sphere, that is, when the optimum is
     tight.
 
+    The measurement, ``volume_sq`` and the counter-image all come from
+    the ellipsoid's ``root`` through an ``l x l`` factor ``K`` of the
+    measurement (see :func:`ellipsoid_to_measurement`), not from an SVD
+    of the measurement; :func:`validate`, :func:`range_volume_sq` and
+    :func:`pseudoinverse` are the independent oracles the tests compare
+    them with.
+
     Used by :func:`ddi_on_ball` on converged ellipsoids and by callers
     that want to salvage the partial ellipsoid of a
     :class:`NoConvergenceError`.
@@ -397,10 +472,8 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     # a partial ellipsoid encloses the cloud only up to its duality gap
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
     slack = max(1e-6, 4.0 * ellipsoid.optimality_gap)
-    meas = ellipsoid_to_measurement(ellipsoid, cloud, containment_tol=slack)
-    volume = range_volume_sq(meas)
-    counter = WeightedStateSet(points=cloud.points @ meas.pinv().T,
-                               weights=ellipsoid.support_weights)
+    meas, volume, points = _assemble(ellipsoid, cloud, slack)
+    counter = WeightedStateSet(points=points, weights=ellipsoid.support_weights)
     return DdiResult(
         measurement=meas,
         volume_sq=volume,

@@ -34,7 +34,10 @@ def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     recon = counter @ meas.matrix.T
     if float(np.abs(recon - cloud.points).max()) > tol:
         return False
-    return all(ball_membership(s, tol) for s in counter)
+    # ball_membership of every row: on the hyperplane and f(s) <= tol
+    sums = counter.sum(axis=1)
+    cone = np.einsum("ij,ij->i", counter, counter) - sums * sums
+    return bool(np.all(np.abs(sums - 1.0) <= tol) and np.all(cone <= tol))
 
 
 @dataclass(frozen=True)

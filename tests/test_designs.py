@@ -9,6 +9,7 @@ from ddi import (
     design_weights,
     frame_operator,
     haar_average_estimate,
+    hyperplane_basis,
     is_two_design,
     random_stabilizing_orthogonal,
     regular_simplex,
@@ -114,6 +115,21 @@ class TestIsTwoDesign:
         assert cert.tol_used == 1e-7
         on_sphere = union([(regular_simplex(3), 0.5), (regular_simplex(3), 0.5)])
         assert certify_design(on_sphere, 1e-7) == is_two_design(on_sphere, 1e-7)
+
+    def test_frame_deviation_is_the_spectral_norm(self):
+        # states inside the ball, so the frame operator has norm at most 1
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            l = int(rng.integers(2, 10))
+            m = int(rng.integers(1, 3 * l))
+            x = rng.standard_normal((m, l - 1))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            x *= np.sqrt(1.0 - 1.0 / l) * rng.uniform(0.0, 1.0, (m, 1))
+            points = 1.0 / l + x @ hyperplane_basis(l).T
+            weights = rng.dirichlet(np.ones(m))
+            s = WeightedStateSet(points=points, weights=weights)
+            expected = np.linalg.norm(frame_operator(s) - np.eye(l) / l, 2)
+            assert abs(certify_design(s).frame_deviation - expected) <= 1e-15
 
     def test_rotated_simplex_certifies(self):
         for l in (3, 4, 5):

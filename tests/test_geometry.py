@@ -104,6 +104,13 @@ class TestBases:
         np.testing.assert_allclose(v.T @ v, np.eye(l - 1), atol=1e-14)
         np.testing.assert_allclose(v.sum(axis=0), np.zeros(l - 1), atol=1e-14)
 
+    def test_hyperplane_basis_is_built_once_and_read_only(self):
+        v = hyperplane_basis(9)
+        assert hyperplane_basis(9) is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_operator_basis_orthonormal_traceless_hermitian(self, d):
         basis = traceless_hermitian_basis(d)

@@ -9,8 +9,10 @@ from ddi import (
     NotClosedFormCaseError,
     PreconditionViolatedError,
     ProbabilityCloud,
+    QuasiMeasurement,
     StateEmbedding,
     WeightedStateSet,
+    ball_membership,
     ball_radius,
     composition_bijection_check,
     ddi_closed_form,
@@ -263,6 +265,13 @@ class TestMvee:
                       chart=np.zeros((3, 2)), support_weights=np.ones(1),
                       optimality_gap=0.0, iterations=0)
 
+    def test_chart_without_orthonormal_columns_rejected(self):
+        e = mvee(ProbabilityCloud(np.eye(3)))
+        with pytest.raises(InvalidInputError, match="orthonormal"):
+            Ellipsoid(center=e.center, root=e.root, chart=2.0 * e.chart,
+                      support_weights=e.support_weights,
+                      optimality_gap=e.optimality_gap, iterations=e.iterations)
+
 
 class TestEllipsoidToMeasurement:
     def test_ball_maps_to_identity(self):
@@ -415,6 +424,31 @@ class TestFeasibility:
         cloud = ProbabilityCloud(np.eye(2))
         with pytest.raises(InvalidInputError):
             feasibility_check(validate(np.diag([1.0, 0.0])), cloud)
+
+    def test_matches_the_per_point_ball_membership(self):
+        # the loop feasibility_check replaced, kept as its reference
+        def per_point(meas, cloud, tol):
+            counter = cloud.points @ meas.pinv().T
+            if np.abs(counter @ meas.matrix.T - cloud.points).max() > tol:
+                return False
+            return all(ball_membership(s, tol) for s in counter)
+
+        rng = np.random.default_rng(13)
+        inside = random_cloud(10, 4, rng)
+        outside = ProbabilityCloud(np.array([[1.4, -0.4, 0.0],
+                                             [0.0, 1.4, -0.4],
+                                             [-0.4, 0.0, 1.4]]))
+        # columns summing to 1 + 1e-6 pull every counter-image off the hyperplane by 1e-6
+        off_plane = QuasiMeasurement(matrix=np.eye(3) * (1.0 + 1e-6))
+        cases = [(sample_enclosing_measurement(inside, rng), inside, 1e-8)
+                 for _ in range(5)]
+        cases += [(validate(np.eye(3)), outside, 1e-8),
+                  (validate(np.eye(3)), ProbabilityCloud(np.eye(3)), 1e-8),
+                  (off_plane, ProbabilityCloud(np.eye(3)), 1e-8),
+                  (off_plane, ProbabilityCloud(np.eye(3)), 1e-5)]
+        verdicts = [feasibility_check(meas, cloud, tol) for meas, cloud, tol in cases]
+        assert verdicts == [per_point(meas, cloud, tol) for meas, cloud, tol in cases]
+        assert verdicts == [True] * 5 + [False, True, False, True]
 
 
 class TestVolumeBound:

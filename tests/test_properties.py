@@ -5,7 +5,10 @@ points, so their affine hull fills the distribution hyperplane and the
 gauge-fixed measurement is canonical.  A second family is almost flat:
 mixtures of three vertices in four outcomes, one of them lifted off
 their plane by a tiny step, where every returned result must still
-contain the cloud.  Examples are derandomized and no example database is
+contain the cloud.  The volume and counter-image that the inference map
+reads off the ellipsoid's root are compared with SVD oracles on
+Dirichlet clouds and on pure qutrit states seen through a random
+measurement.  Examples are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
 
@@ -20,14 +23,25 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from ddi import (
     DdiError,
+    DegenerateRangeError,
     Ellipsoid,
     InvalidInputError,
+    NotAQuasiMeasurementError,
     ProbabilityCloud,
+    StateEmbedding,
     ddi_on_ball,
+    ellipsoid_to_measurement,
+    embed_density,
     hyperplane_basis,
     mvee,
+    pseudoinverse,
     random_ic_quasi_measurement,
+    range_volume_sq,
+    validate,
 )
+from ddi.inference import assemble_result
+
+from helpers import random_pure_density
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -123,12 +137,16 @@ def flat_cloud(seed, e):
 
 
 def assert_answered_or_refused(points):
-    # numpy-only oracle: every point has a counter-image in the state ball,
-    # within the 1e-6 containment tolerance of the inference map
     try:
         matrix = ddi_on_ball(ProbabilityCloud(points)).measurement.matrix
     except DdiError:
         return
+    assert_contains(matrix, points)
+
+
+def assert_contains(matrix, points):
+    # numpy-only oracle: every point has a counter-image in the state ball,
+    # within the 1e-6 containment tolerance of the inference map
     states = np.linalg.lstsq(matrix, points.T, rcond=None)[0].T
     residual = np.linalg.norm(states @ matrix.T - points, axis=1)
     assert residual.max() <= 1e-6
@@ -145,6 +163,63 @@ def test_almost_flat_clouds_are_contained_or_refused(seed, log_e):
 def test_almost_flat_clouds_once_answered_wrongly(seed, e):
     # a range built by a solve and eigh of the squared shape misses a point here by 1e-4..5e-4
     assert_answered_or_refused(flat_cloud(seed, e))
+
+
+@pytest.mark.parametrize("seed, e", [(0, 1e-8), (4, 1e-7), (0, 10 ** -7.5)])
+def test_almost_flat_clouds_once_refused_are_answered(seed, e):
+    # an SVD pseudoinverse of the nearly singular measurement refused these
+    points = flat_cloud(seed, e)
+    assert_contains(ddi_on_ball(ProbabilityCloud(points)).measurement.matrix, points)
+
+
+@st.composite
+def assembled_clouds(draw):
+    # a Dirichlet cloud, a flat cloud whose lifted point the chart drops,
+    # or 200 pure qutrit states through a random 12-outcome measurement
+    family = draw(st.sampled_from(["dirichlet", "flat", "qutrit"]))
+    if family == "dirichlet":
+        return draw(dirichlet_points())
+    if family == "flat":
+        return flat_cloud(draw(st.integers(0, 2 ** 32 - 1)), 10.0 ** draw(st.floats(-12.0, -10.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    embedding = StateEmbedding.for_dimension(3)
+    states = np.array([embed_density(random_pure_density(3, rng), embedding)
+                       for _ in range(200)])
+    return states @ random_ic_quasi_measurement(12, 9, rng).matrix.T
+
+
+@PROPERTY
+@given(points=assembled_clouds())
+def test_assembly_from_the_root_matches_the_svd_oracles(points):
+    result = ddi_on_ball(ProbabilityCloud(points))
+    meas = validate(result.measurement.matrix)
+    assert result.volume_sq == pytest.approx(range_volume_sq(meas), rel=1e-12)
+    np.testing.assert_allclose(result.counter_image.points,
+                               points @ pseudoinverse(meas.matrix).T, rtol=0.0, atol=1e-12)
+
+
+def test_center_off_the_hyperplane_is_rejected():
+    cloud = ProbabilityCloud(np.random.default_rng(0).dirichlet(np.ones(4), 12))
+    e = mvee(cloud)
+    moved = Ellipsoid(center=e.center + 1e-6, root=e.root, chart=e.chart,
+                      support_weights=e.support_weights,
+                      optimality_gap=e.optimality_gap, iterations=e.iterations)
+    with pytest.raises(NotAQuasiMeasurementError):
+        ellipsoid_to_measurement(moved, cloud)
+    with pytest.raises(NotAQuasiMeasurementError):
+        assemble_result(moved, cloud)
+
+
+def test_rank_deficient_range_is_rejected():
+    cloud = ProbabilityCloud(np.eye(3))
+    e = mvee(cloud)
+    # a semi-axis 1e10 times the other encloses the cloud but leaves M
+    # with singular values 1e-10 apart
+    wide = Ellipsoid(center=e.center, root=e.root * np.diag([1e10, 1.0]), chart=e.chart,
+                     support_weights=e.support_weights,
+                     optimality_gap=e.optimality_gap, iterations=e.iterations)
+    with pytest.raises(DegenerateRangeError):
+        assemble_result(wide, cloud)
 
 
 def test_indefinite_root_is_rejected():
