@@ -29,12 +29,15 @@ state set fills the whole ball, for ``d >= 3`` it is a strict subset.
 Both bases of ``T`` are gauge choices.  The defaults below (generalized
 Gell-Mann operators and a Helmert-style hyperplane basis) are fixed and
 deterministic; any other orthonormal pair gives the same geometry.
+States and effects both go through one real matrix ``L`` per embedding,
+built once from the two bases and cached, which maps an operator read as
+interleaved (re, im) floats to ``T`` of its traceless part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,13 +129,15 @@ def hyperplane_basis(l: int) -> np.ndarray:
     return cols
 
 
+@lru_cache
 def traceless_hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal basis of traceless Hermitian ``d x d`` matrices.
 
     Generalized Gell-Mann construction: for every index pair ``j < k``
     one symmetric and one antisymmetric matrix, then ``d - 1`` diagonal
     matrices.  Orthonormal under ``<X, Y> = tr(X Y)``; returns an array
-    of shape ``(d*d - 1, d, d)``.
+    of shape ``(d*d - 1, d, d)``.  Each ``d`` is built once and the same
+    read-only array is returned on every call.
     """
     if d < 2:
         raise InvalidDimensionError(f"Hilbert dimension must be >= 2, got {d}")
@@ -155,16 +160,18 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
             basis[idx, i, i] = scale
         basis[idx, m, m] = -m * scale
         idx += 1
+    basis.setflags(write=False)
     return basis
 
 
 def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    """Return ``a`` as a C-ordered complex matrix after checking it is Hermitian."""
+    a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("operator must be a square matrix")
     if d is not None and a.shape[0] != d:
         raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("operator entries must be finite")
     if np.abs(a - a.conj().T).max() > tol:
         raise InvalidInputError("operator is not Hermitian within tolerance")
@@ -174,6 +181,9 @@ def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
 @dataclass(frozen=True)
 class StateEmbedding:
     """Pairing of operator and vector bases defining the quantum embedding.
+
+    States and effects both go through one real matrix, :attr:`real_map`,
+    built from the two bases on first use and cached.
 
     Attributes
     ----------
@@ -193,9 +203,25 @@ class StateEmbedding:
     def l(self) -> int:
         return self.d * self.d
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         return float(np.sqrt((self.d + 1.0) / self.d))
+
+    @cached_property
+    def real_map(self) -> np.ndarray:
+        """Read-only ``(l, 2*d*d)`` matrix ``L`` with ``L @ x = T(X)``.
+
+        ``x`` is the C-ordered ``d x d`` complex matrix ``X`` read as
+        interleaved (re, im) floats, and ``T(X)`` is
+        ``tangent_basis @ [Re tr(B_k X)]_k`` over the operator basis
+        ``B_k``.  Row ``k`` of the operator part is ``conj(B_k).T`` read
+        the same way, since ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``.
+        """
+        pairing = self.operator_basis.transpose(0, 2, 1).conj()
+        pairing = np.ascontiguousarray(pairing, dtype=complex).view(float)
+        real_map = self.tangent_basis @ pairing.reshape(self.l - 1, 2 * self.l)
+        real_map.setflags(write=False)
+        return real_map
 
     @classmethod
     def for_dimension(cls, d: int, operator_basis: np.ndarray | None = None,
@@ -211,10 +237,12 @@ class StateEmbedding:
             raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
         d = int(d)
         l = d * d
+        # custom bases are copied, so the caller's arrays stay writeable and
+        # later writes to them cannot reach the cached real map
         if operator_basis is None:
             operator_basis = traceless_hermitian_basis(d)
         else:
-            operator_basis = np.asarray(operator_basis, dtype=complex)
+            operator_basis = np.array(operator_basis, dtype=complex)
             if operator_basis.shape != (l - 1, d, d):
                 raise InvalidInputError(
                     f"operator basis must have shape {(l - 1, d, d)}")
@@ -228,7 +256,7 @@ class StateEmbedding:
         if tangent_basis is None:
             tangent_basis = hyperplane_basis(l)
         else:
-            tangent_basis = np.asarray(tangent_basis, dtype=float)
+            tangent_basis = np.array(tangent_basis, dtype=float)
             if tangent_basis.shape != (l, l - 1):
                 raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
             if np.abs(tangent_basis.T @ tangent_basis - np.eye(l - 1)).max() > tol:
@@ -262,12 +290,10 @@ def embed_density(rho: np.ndarray, embedding: StateEmbedding,
         is pure.
     """
     rho = _require_hermitian(rho, embedding.d, tol)
-    trace = np.trace(rho)
+    trace = rho.trace()
     if abs(trace - 1.0) > tol:
         raise NotNormalizedError(f"density matrix must have unit trace, got {trace}")
-    coeffs = np.einsum("kij,ji->k", embedding.operator_basis, rho).real
-    l = embedding.l
-    return np.ones(l) / l + embedding.alpha * (embedding.tangent_basis @ coeffs)
+    return embedding.alpha * (embedding.real_map @ rho.view(float).ravel()) + 1.0 / embedding.l
 
 
 def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
@@ -281,10 +307,8 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
     Hermiticity is required.
     """
     effect = _require_hermitian(effect, embedding.d, tol)
-    trace = float(np.trace(effect).real)
-    coeffs = np.einsum("kij,ji->k", embedding.operator_basis, effect).real
-    l = embedding.l
-    return (trace / embedding.d) * np.ones(l) + (embedding.tangent_basis @ coeffs) / embedding.alpha
+    trace = float(effect.trace().real)
+    return (embedding.real_map @ effect.view(float).ravel()) / embedding.alpha + trace / embedding.d
 
 
 def hermitian_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:

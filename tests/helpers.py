@@ -33,6 +33,21 @@ def random_hermitian(d, rng):
     return (g + g.conj().T) / 2
 
 
+def embed_density_einsum(rho, embedding):
+    """Reference state embedding: one einsum against the operator basis."""
+    coeffs = np.einsum("kij,ji->k", embedding.operator_basis, rho).real
+    l = embedding.l
+    return np.ones(l) / l + embedding.alpha * (embedding.tangent_basis @ coeffs)
+
+
+def embed_effect_einsum(effect, embedding):
+    """Reference effect embedding: one einsum against the operator basis."""
+    trace = float(np.trace(effect).real)
+    coeffs = np.einsum("kij,ji->k", embedding.operator_basis, effect).real
+    l = embedding.l
+    return (trace / embedding.d) * np.ones(l) + (embedding.tangent_basis @ coeffs) / embedding.alpha
+
+
 def bloch_qubit(b):
     b = np.asarray(b, dtype=float)
     rho = np.eye(2, dtype=complex) / 2

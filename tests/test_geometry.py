@@ -111,6 +111,13 @@ class TestBases:
         with pytest.raises(ValueError):
             v[0, 0] = 0.0
 
+    def test_operator_basis_is_built_once_and_read_only(self):
+        basis = traceless_hermitian_basis(3)
+        assert traceless_hermitian_basis(3) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 0.0
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_operator_basis_orthonormal_traceless_hermitian(self, d):
         basis = traceless_hermitian_basis(d)
@@ -215,6 +222,63 @@ class TestEmbedding:
     def test_rejects_bad_custom_basis(self):
         with pytest.raises(InvalidInputError):
             StateEmbedding.for_dimension(2, tangent_basis=np.ones((4, 3)))
+
+    def test_custom_bases_are_copied(self):
+        default = StateEmbedding.for_dimension(3)
+        rng = np.random.default_rng(5)
+        turn = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        ops = np.einsum("kj,jab->kab", turn, default.operator_basis)
+        tangent = default.tangent_basis @ turn
+        emb = StateEmbedding.for_dimension(3, operator_basis=ops, tangent_basis=tangent)
+        assert emb.operator_basis is not ops and emb.tangent_basis is not tangent
+        assert ops.flags.writeable and tangent.flags.writeable
+        rho, eff = random_density(3, rng), random_hermitian(3, rng)
+        same = StateEmbedding.for_dimension(3, operator_basis=ops.copy(),
+                                            tangent_basis=tangent.copy())
+        expected = embed_density(rho, same), embed_effect(eff, same)
+        # written once before the embedding's real map is built, once after
+        for value in (0.0, 1.0):
+            ops[:] = value
+            tangent[:] = value
+            np.testing.assert_array_equal(embed_density(rho, emb), expected[0])
+            np.testing.assert_array_equal(embed_effect(eff, emb), expected[1])
+
+    def test_returns_a_fresh_writeable_vector(self):
+        emb = StateEmbedding.for_dimension(2)
+        assert not emb.real_map.flags.writeable
+        for embed, op in ((embed_density, np.eye(2) / 2), (embed_effect, np.eye(2))):
+            v = embed(op, emb)
+            assert v.flags.writeable and not np.shares_memory(v, emb.real_map)
+            expected = v.copy()
+            v[:] = -7.0
+            np.testing.assert_array_equal(embed(op, emb), expected)
+
+    @pytest.mark.parametrize("embed", [embed_density, embed_effect])
+    @pytest.mark.parametrize("entry, value", [((0, 1), complex(0.0, np.nan)),
+                                              ((0, 0), complex(np.inf, 0.0))])
+    def test_rejects_non_finite_entries(self, embed, entry, value):
+        op = np.eye(2, dtype=complex) / 2
+        op[entry] = value
+        with pytest.raises(InvalidInputError):
+            embed(op, StateEmbedding.for_dimension(2))
+
+    @pytest.mark.parametrize("op", [np.array([[0.5, 1.0], [0.0, 0.5]]), np.eye(3) / 3])
+    def test_effect_rejects_non_hermitian_or_wrong_dimension(self, op):
+        with pytest.raises(InvalidInputError):
+            embed_effect(op, StateEmbedding.for_dimension(2))
+
+    def test_rejects_real_trace_off_by_1e_6(self):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 0] += 1e-6
+        with pytest.raises(NotNormalizedError):
+            embed_density(rho, StateEmbedding.for_dimension(3))
+
+    def test_rejects_imaginary_trace_off_by_1e_6(self):
+        # 1e-6j/3 on each diagonal entry leaves rho - rho^H at 6.7e-7, within
+        # the tolerance, while the trace is 1 + 1e-6j, outside it
+        rho = np.eye(3, dtype=complex) * (1.0 + 1e-6j) / 3
+        with pytest.raises(NotNormalizedError):
+            embed_density(rho, StateEmbedding.for_dimension(3), tol=8e-7)
 
 
 class TestHermitianJson:

@@ -8,7 +8,9 @@ their plane by a tiny step, where every returned result must still
 contain the cloud.  The volume and counter-image that the inference map
 reads off the ellipsoid's root are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
-measurement.  Examples are derandomized and no example database is
+measurement.  The quantum embedding's cached real map is compared with
+an einsum over the operator basis, for every memory layout a caller may
+pass.  Examples are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
 
@@ -32,6 +34,7 @@ from ddi import (
     ddi_on_ball,
     ellipsoid_to_measurement,
     embed_density,
+    embed_effect,
     hyperplane_basis,
     mvee,
     pseudoinverse,
@@ -41,7 +44,13 @@ from ddi import (
 )
 from ddi.inference import assemble_result
 
-from helpers import random_pure_density
+from helpers import (
+    embed_density_einsum,
+    embed_effect_einsum,
+    random_density,
+    random_hermitian,
+    random_pure_density,
+)
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -230,3 +239,46 @@ def test_indefinite_root_is_rejected():
         Ellipsoid(center=e.center, root=root, chart=e.chart,
                   support_weights=e.support_weights,
                   optimality_gap=e.optimality_gap, iterations=e.iterations)
+
+
+@st.composite
+def embedded_operators(draw):
+    # an embedding in the default or a random gauge, a unit-trace Hermitian
+    # matrix (pure, mixed or a non-positive quasi-state) and a Hermitian effect
+    d = draw(st.sampled_from((2, 3, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    embedding = StateEmbedding.for_dimension(d)
+    if draw(st.booleans()):
+        turn = np.linalg.qr(rng.standard_normal((d * d - 1, d * d - 1)))[0]
+        embedding = StateEmbedding.for_dimension(
+            d, operator_basis=np.einsum("kj,jab->kab", turn, embedding.operator_basis),
+            tangent_basis=embedding.tangent_basis @ turn)
+    kind = draw(st.sampled_from(["pure", "mixed", "quasi"]))
+    if kind == "pure":
+        rho = random_pure_density(d, rng)
+    elif kind == "mixed":
+        rho = random_density(d, rng)
+    else:
+        h = random_hermitian(d, rng)
+        rho = h + (1.0 - np.trace(h).real) / d * np.eye(d)
+    return embedding, rho, random_hermitian(d, rng)
+
+
+def memory_layouts(a):
+    # C order, Fortran order, a strided view, and the real part as a real
+    # array (still Hermitian, with the same trace)
+    big = np.zeros((2 * len(a), 2 * len(a)), dtype=complex)
+    big[::2, ::2] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), big[::2, ::2], a.real.copy()]
+
+
+@PROPERTY
+@given(case=embedded_operators())
+def test_embedding_matches_the_einsum_reference(case):
+    embedding, rho, effect = case
+    for state in memory_layouts(rho):
+        np.testing.assert_allclose(embed_density(state, embedding),
+                                   embed_density_einsum(state, embedding), rtol=0.0, atol=1e-14)
+    for op in memory_layouts(effect):
+        np.testing.assert_allclose(embed_effect(op, embedding),
+                                   embed_effect_einsum(op, embedding), rtol=0.0, atol=1e-14)
