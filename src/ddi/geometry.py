@@ -183,7 +183,9 @@ class StateEmbedding:
     """Pairing of operator and vector bases defining the quantum embedding.
 
     States and effects both go through one real matrix, :attr:`real_map`,
-    built from the two bases on first use and cached.
+    built from the two bases on first use and cached.  Both bases are
+    copied and made read-only on construction, so later writes to the
+    caller's arrays reach neither the bases nor the cached map.
 
     Attributes
     ----------
@@ -198,6 +200,12 @@ class StateEmbedding:
     d: int
     operator_basis: np.ndarray
     tangent_basis: np.ndarray
+
+    def __post_init__(self):
+        for name in ("operator_basis", "tangent_basis"):
+            basis = np.array(getattr(self, name))
+            basis.setflags(write=False)
+            object.__setattr__(self, name, basis)
 
     @property
     def l(self) -> int:
@@ -237,12 +245,10 @@ class StateEmbedding:
             raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
         d = int(d)
         l = d * d
-        # custom bases are copied, so the caller's arrays stay writeable and
-        # later writes to them cannot reach the cached real map
         if operator_basis is None:
             operator_basis = traceless_hermitian_basis(d)
         else:
-            operator_basis = np.array(operator_basis, dtype=complex)
+            operator_basis = np.asarray(operator_basis, dtype=complex)
             if operator_basis.shape != (l - 1, d, d):
                 raise InvalidInputError(
                     f"operator basis must have shape {(l - 1, d, d)}")
@@ -256,17 +262,14 @@ class StateEmbedding:
         if tangent_basis is None:
             tangent_basis = hyperplane_basis(l)
         else:
-            tangent_basis = np.array(tangent_basis, dtype=float)
+            tangent_basis = np.asarray(tangent_basis, dtype=float)
             if tangent_basis.shape != (l, l - 1):
                 raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
             if np.abs(tangent_basis.T @ tangent_basis - np.eye(l - 1)).max() > tol:
                 raise InvalidInputError("tangent basis must be orthonormal")
             if np.abs(tangent_basis.sum(axis=0)).max() > tol:
                 raise InvalidInputError("tangent basis must be orthogonal to the all-ones vector")
-        emb = cls(d=d, operator_basis=operator_basis, tangent_basis=tangent_basis)
-        emb.operator_basis.setflags(write=False)
-        emb.tangent_basis.setflags(write=False)
-        return emb
+        return cls(d=d, operator_basis=operator_basis, tangent_basis=tangent_basis)
 
 
 def embed_density(rho: np.ndarray, embedding: StateEmbedding,

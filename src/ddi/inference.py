@@ -25,7 +25,13 @@ carries the inverse scatter and all leverages through each step by a
 Sherman-Morrison update, O(m d) per step (Todd and Yildirim).  Both are
 recomputed from scratch periodically and before the solver stops, so
 the reported gap is never a value the iteration carried along.  The
-dual weights double as an optimality certificate.
+ascent converges only linearly, so once the gap is at most 1e-2 and the
+support is small enough for its lifted rank-one terms to be independent
+(at most D(D + 1)/2 points in D lifted dimensions), every step starts
+from a fresh inverse and weight moves within the support by damped
+Newton steps of log det on the support's face (Sun and Freund's active
+set); a point still joins the support by a toward step.  The dual
+weights double as an optimality certificate.
 
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
@@ -196,6 +202,48 @@ def _affine_chart(points: np.ndarray):
 # less than _MIN_DENOMINATOR (a drop step of an almost essential point).
 _REFRESH_STEPS = 64
 _MIN_DENOMINATOR = 1e-2
+# Below this gap, a support small enough for independent rank-one lifts
+# is finished by Newton steps on its face.
+_FACE_GAP = 1e-2
+
+
+def _face_newton(lifted: np.ndarray, inverse: np.ndarray, u: np.ndarray, support: np.ndarray):
+    """Damped Newton step of log det on the face ``{u_S >= 0, sum u_S = 1}``.
+
+    With ``G = A_S inverse A_S^T`` the gradient on the face is ``diag(G)``
+    and the Hessian is ``-(G o G)``, positive definite only when the lifts
+    ``a a^T`` of the support are independent.  One multiplier keeps the
+    sum, the step is cut where a weight reaches 0 (that point drops out),
+    and it is returned only when the face's log det rises: the new
+    weights, or None.
+    """
+    a = lifted[support]
+    g = a @ inverse @ a.T
+    try:
+        factor_inv = np.linalg.inv(np.linalg.cholesky(g * g))
+    except np.linalg.LinAlgError:
+        return None
+    # whitened by the Cholesky factor, the multiplier is one projection
+    grad, ones = factor_inv @ np.diagonal(g), factor_inv.sum(axis=1)
+    direction = factor_inv.T @ (grad - (grad @ ones) / (ones @ ones) * ones)
+    weights = u[support]
+    step, drop = 1.0, None
+    shrinking = np.flatnonzero(direction < 0.0)
+    if shrinking.size:
+        cuts = -weights[shrinking] / direction[shrinking]
+        first = int(cuts.argmin())
+        if cuts[first] < 1.0:
+            step, drop = float(cuts[first]), shrinking[first]
+    weights = np.maximum(weights + step * direction, 0.0)
+    if drop is not None:
+        weights[drop] = 0.0
+    # log det M(new) - log det M(u) is log det(inverse @ M(new))
+    sign, rise = np.linalg.slogdet(inverse @ (a.T @ (weights[:, None] * a)))
+    if sign <= 0.0 or rise <= 0.0:
+        return None
+    new = np.zeros_like(u)
+    new[support] = weights
+    return new
 
 
 def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
@@ -214,6 +262,15 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     starts from them or from the extreme points of each whitened axis,
     whichever has the larger log det, and carries the inverse scatter and
     the leverages through each step by a rank-one update.
+
+    The ascent converges only linearly.  Once the gap is at most
+    ``_FACE_GAP`` and the support has at most ``D (D + 1) / 2`` points,
+    the most whose lifts ``a a^T`` can be independent, every step starts
+    from a fresh inverse.  Unless the step due is a toward step to a
+    point off the support, the damped Newton step on the support's face
+    (:func:`_face_newton`) is tried first and taken when it raises the
+    log det; otherwise the toward, away or drop step is taken as before.
+    Newton steps count as iterations and against ``max_iter``.
     """
     m, d = x.shape
     dim = d + 1
@@ -240,6 +297,8 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     if sign > 0 and logdet > 0.0:  # uniform weights have log det 0 here
         u = core
     off_support = np.where(u > 0.0, 0.0, np.inf)
+    size = int(np.count_nonzero(u))
+    face_size = dim * (dim + 1) // 2
     iteration = 0
     stale = _REFRESH_STEPS
     while True:
@@ -257,12 +316,26 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
         j_down = int((leverage + off_support).argmin())
         down = float(leverage[j_down])
         gap = max(up / dim - 1.0, 1.0 - down / dim)
-        if gap <= eps or iteration == max_iter:
-            if not stale:
+        face = gap <= _FACE_GAP and size <= face_size
+        toward = up / dim - 1.0 >= 1.0 - down / dim
+        if gap <= eps or iteration == max_iter or face:
+            if stale:
+                stale = _REFRESH_STEPS
+                continue
+            if gap <= eps or iteration == max_iter:
                 return u, gap, iteration, gap <= eps
-            stale = _REFRESH_STEPS
-            continue
-        if up / dim - 1.0 >= 1.0 - down / dim:
+            # a point joins the support only by a toward step; weight moves
+            # within the support by Newton steps
+            if not (toward and off_support[j_up]):
+                newton = _face_newton(lifted, inverse, u, np.flatnonzero(u))
+                if newton is not None:
+                    u = newton
+                    off_support = np.where(u > 0.0, 0.0, np.inf)
+                    size = int(np.count_nonzero(u))
+                    iteration += 1
+                    stale = _REFRESH_STEPS
+                    continue
+        if toward:
             j, lever = j_up, up
             step = (lever - dim) / (dim * (lever - 1.0))
         else:
@@ -272,15 +345,17 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
             step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
         # only u[j] can change sign; the sum stays 1 up to rounding, which
         # each refresh removes
+        was_in = u[j] > 0.0
         u *= 1.0 - step
         u[j] = max(u[j] + step, 0.0)
         off_support[j] = 0.0 if u[j] > 0.0 else np.inf
+        size += int(u[j] > 0.0) - int(was_in)
         iteration += 1
         stale += 1
         # Sherman-Morrison for (1 - step) M + step a_j a_j^T
         ratio = step / (1.0 - step)
         denominator = 1.0 + ratio * lever
-        if stale < _REFRESH_STEPS and denominator >= _MIN_DENOMINATOR:
+        if not face and stale < _REFRESH_STEPS and denominator >= _MIN_DENOMINATOR:
             column = inverse @ lifted[j]
             cross = lifted @ column
             coef = ratio / denominator
@@ -301,17 +376,20 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     hull, whose dimension is ``span_dim - 1``.  The solver works on
     whitened chart coordinates, starts from uniform weights or a core set
     of extreme points, whichever has the larger log det, and updates its
-    leverages by rank one; ``root`` and ``center`` are built from the
-    returned weights in the original chart.  ``optimality_gap`` is
-    computed from a fresh inverse at those weights, converged or not.  On
-    convergence every point is inside within a ``(1 + eps)`` inflation
-    and shrinking any semi-axis by more than about ``10 * eps`` ejects at
-    least one point.
+    leverages by rank one.  Once the gap is at most 1e-2 on a support of
+    at most ``D (D + 1) / 2`` points, ``D = span_dim``, it finishes with
+    Newton steps on the support's face, each from a fresh inverse and
+    each counted in ``iterations`` and against ``max_iter``.  ``root``
+    and ``center`` are built from the returned weights in the original
+    chart.  ``optimality_gap`` is computed from a fresh inverse at those
+    weights, converged or not.  On convergence every point is inside
+    within a ``(1 + eps)`` inflation and shrinking any semi-axis by more
+    than about ``10 * eps`` ejects at least one point.
 
     Raises
     ------
     NoConvergenceError
-        When ``max_iter`` updates do not reach the gap; the exception
+        When ``max_iter`` steps do not reach the gap; the exception
         carries the best ellipsoid found and the achieved gap.
     """
     if eps <= 0.0:

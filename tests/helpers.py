@@ -48,6 +48,15 @@ def embed_effect_einsum(effect, embedding):
     return (trace / embedding.d) * np.ones(l) + (embedding.tangent_basis @ coeffs) / embedding.alpha
 
 
+def flat_cloud(seed, e):
+    """20 mixtures of 3 vertices in 4 outcomes, row 0 lifted off their plane by e."""
+    rng = np.random.default_rng(seed)
+    vertices = rng.dirichlet(np.ones(4), 3)
+    points = rng.dirichlet(np.ones(3), 20) @ vertices
+    points[0] += e * np.array([1.0, -1.0, 1.0, -1.0])
+    return points
+
+
 def bloch_qubit(b):
     b = np.asarray(b, dtype=float)
     rho = np.eye(2, dtype=complex) / 2
@@ -141,9 +150,11 @@ def duality_gap_dense(cloud, weights):
 def khachiyan_weights_dense(x, eps, max_iter):
     """Reference ellipsoid iteration: uniform start, full solve every step.
 
-    The same toward/away/drop step rule as the production solver, but the
-    lifted scatter is rebuilt and solved against every point at each
-    step, O(m d^2) per step, in the raw coordinates.  Returns
+    The toward/away/drop step rule of the production solver, without its
+    Newton steps on the support's face: the lifted scatter is rebuilt and
+    solved against every point at each step, O(m d^2) per step, in the
+    raw coordinates, and convergence stays linear.  It reaches the same
+    optimum by a different route.  Returns
     ``(weights, gap, iterations, converged)``.
     """
     m, d = x.shape

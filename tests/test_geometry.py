@@ -18,7 +18,13 @@ from ddi import (
 )
 from ddi.geometry import hermitian_from_dict, hermitian_to_dict
 
-from helpers import bloch_qubit, random_density, random_hermitian, random_pure_density
+from helpers import (
+    bloch_qubit,
+    embed_density_einsum,
+    random_density,
+    random_hermitian,
+    random_pure_density,
+)
 
 
 class TestUnitEffect:
@@ -242,6 +248,22 @@ class TestEmbedding:
             tangent[:] = value
             np.testing.assert_array_equal(embed_density(rho, emb), expected[0])
             np.testing.assert_array_equal(embed_effect(eff, emb), expected[1])
+
+    def test_directly_built_embedding_copies_its_bases(self):
+        default = StateEmbedding.for_dimension(2)
+        ops, tangent = default.operator_basis.copy(), default.tangent_basis.copy()
+        emb = StateEmbedding(2, ops, tangent)
+        assert not emb.operator_basis.flags.writeable
+        assert not emb.tangent_basis.flags.writeable
+        rho = bloch_qubit([0.3, -0.2, 0.5])
+        first = embed_density(rho, emb)
+        tangent[:] = tangent[:, ::-1].copy()
+        ops[:] = 0.0
+        # the bases the embedding reports are the ones its real map uses
+        np.testing.assert_array_equal(emb.tangent_basis, default.tangent_basis)
+        np.testing.assert_array_equal(emb.operator_basis, default.operator_basis)
+        np.testing.assert_array_equal(embed_density(rho, emb), first)
+        np.testing.assert_allclose(first, embed_density_einsum(rho, emb), rtol=0.0, atol=1e-14)
 
     def test_returns_a_fresh_writeable_vector(self):
         emb = StateEmbedding.for_dimension(2)

@@ -32,6 +32,7 @@ from ddi import (
     rotate_set,
     validate,
 )
+from ddi import inference
 from ddi.inference import (
     assemble_result,
     cloud_from_dict,
@@ -42,6 +43,7 @@ from ddi.verify import sample_enclosing_measurement, sample_enclosing_square
 from helpers import (
     duality_gap_dense,
     enclosing_ellipse_bruteforce,
+    flat_cloud,
     mvee_dense,
     random_pure_density,
     triangle_area,
@@ -54,6 +56,31 @@ STRETCH2 = np.array([[1.5, -0.5], [-0.5, 1.5]])
 
 def random_cloud(m, n, rng, concentration=1.0):
     return ProbabilityCloud(rng.dirichlet(np.full(n, concentration), m))
+
+
+def dirichlet_cloud(m, n, seed):
+    return ProbabilityCloud(np.random.default_rng([7, seed]).dirichlet(np.ones(n), m))
+
+
+def qutrit_cloud(seed, m=200):
+    rng = np.random.default_rng(seed)
+    embedding = StateEmbedding.for_dimension(3)
+    return ProbabilityCloud(np.array([embed_density(random_pure_density(3, rng), embedding)
+                                      for _ in range(m)]))
+
+
+def count_face_steps(monkeypatch):
+    """Record, for each Newton step the solver tries, whether it was taken."""
+    taken = []
+    face_newton = inference._face_newton
+
+    def counted(*args):
+        weights = face_newton(*args)
+        taken.append(weights is not None)
+        return weights
+
+    monkeypatch.setattr(inference, "_face_newton", counted)
+    return taken
 
 
 def design_union(l, rng, copies=2):
@@ -251,6 +278,64 @@ class TestMvee:
             for actual, expected in ((e.center, center), (e.shape, shape)):
                 np.testing.assert_allclose(actual, expected, rtol=0.0,
                                            atol=1e-8 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("cloud, newton", [
+        (dirichlet_cloud(300, 8, 1), True),
+        (dirichlet_cloud(60, 16, 1), True),
+        (dirichlet_cloud(12, 4, 1), True),
+        # the reference iterates in the raw chart, where flatter clouds
+        # than these are too badly scaled for it to reach 1e-12
+        (ProbabilityCloud(flat_cloud(0, 1e-2)), True),
+        (ProbabilityCloud(flat_cloud(0, 1e-3)), True),
+        (ProbabilityCloud(flat_cloud(0, 1e-4)), True),
+        # the optimum rests on 4 points in 3 dimensions, a simplex, whose
+        # face holds a single weight vector: only toward steps move it
+        (ProbabilityCloud(flat_cloud(1, 1e-2)), False),
+        # about 190 of the 200 points carry weight: more than 9 * 10 / 2,
+        # so their lifts cannot be independent and no Newton step is tried
+        (qutrit_cloud(40), False),
+    ], ids=["dirichlet-300x8", "dirichlet-60x16", "dirichlet-12x4",
+            "flat-1e-2", "flat-1e-3", "flat-1e-4", "flat-simplex", "qutrit-200"])
+    def test_face_newton_steps_reach_the_dense_optimum(self, cloud, newton, monkeypatch):
+        taken = count_face_steps(monkeypatch)
+        e = mvee(cloud, eps=1e-12)
+        assert any(taken) is newton
+        center, shape = mvee_dense(cloud, eps=1e-12)
+        for actual, expected in ((e.center, center), (e.shape, shape)):
+            np.testing.assert_allclose(actual, expected, rtol=0.0,
+                                       atol=1e-8 * np.abs(expected).max())
+        assert e.optimality_gap <= 1e-12
+        assert abs(duality_gap_dense(cloud, e.support_weights) - e.optimality_gap) <= 1e-12
+
+    def test_max_iter_counts_newton_steps(self, monkeypatch):
+        # two rotated simplices on the sphere, one vertex pushed out by 1%:
+        # the uniform start is within 1e-2 of the optimum on a support of
+        # 10 <= 5 * 6 / 2 points, so every step is a Newton step
+        rng = np.random.default_rng(1)
+        points = design_union(5, rng)
+        points[0] = 0.2 + 1.01 * (points[0] - 0.2)
+        cloud = ProbabilityCloud(points)
+        taken = count_face_steps(monkeypatch)
+        full = mvee(cloud)
+        assert taken == [True] * full.iterations
+        taken.clear()
+        with pytest.raises(NoConvergenceError) as info:
+            mvee(cloud, max_iter=3)
+        exc = info.value
+        assert taken == [True] * 3
+        assert exc.iterations == exc.partial.iterations == 3
+        assert exc.achieved_gap == exc.partial.optimality_gap > 1e-9
+        assert abs(duality_gap_dense(cloud, exc.partial.support_weights)
+                   - exc.partial.optimality_gap) <= 1e-12
+        result = assemble_result(exc.partial, cloud)
+        assert result.iterations == 3
+        assert result.optimality_gap == exc.achieved_gap
+
+    def test_newton_steps_keep_the_work_count_low(self):
+        # the ascent alone takes about 530 iterations on these clouds, the
+        # Newton face steps about 55; a count above 150 means they stopped firing
+        iterations = [mvee(dirichlet_cloud(300, 8, i)).iterations for i in range(1, 21)]
+        assert np.mean(iterations) <= 150
 
     def test_rejects_bad_parameters(self):
         cloud = ProbabilityCloud(np.eye(3))

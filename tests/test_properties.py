@@ -47,6 +47,7 @@ from ddi.inference import assemble_result
 from helpers import (
     embed_density_einsum,
     embed_effect_einsum,
+    flat_cloud,
     random_density,
     random_hermitian,
     random_pure_density,
@@ -134,15 +135,6 @@ def test_affine_maps_of_the_chart_carry_the_ellipsoid_along(data):
     np.testing.assert_allclose(white @ back_shape @ white.T, np.eye(d), rtol=0.0, atol=tol)
     np.testing.assert_allclose(white @ (back_center - basis.T @ (direct.center - origin)),
                                np.zeros(d), rtol=0.0, atol=tol)
-
-
-def flat_cloud(seed, e):
-    # 20 mixtures of 3 vertices in 4 outcomes, row 0 lifted off their plane by e
-    rng = np.random.default_rng(seed)
-    vertices = rng.dirichlet(np.ones(4), 3)
-    points = rng.dirichlet(np.ones(3), 20) @ vertices
-    points[0] += e * np.array([1.0, -1.0, 1.0, -1.0])
-    return points
 
 
 def assert_answered_or_refused(points):
