@@ -69,14 +69,25 @@ from .inference import (
     ellipsoid_to_measurement,
     mvee,
 )
-from .verify import (
-    RoundTripReport,
-    VolumeBoundReport,
-    composition_bijection_check,
-    design_volume_bound_check,
-    feasibility_check,
-    inference_round_trip,
-)
+
+# The verification harness (ddi.verify) is off the inference path, so its
+# names are imported on first use rather than with the package.
+_VERIFY_NAMES = frozenset({
+    "RoundTripReport",
+    "VolumeBoundReport",
+    "composition_bijection_check",
+    "design_volume_bound_check",
+    "feasibility_check",
+    "inference_round_trip",
+})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

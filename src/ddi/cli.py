@@ -25,7 +25,6 @@ from .geometry import StateEmbedding, embed_density, hermitian_from_dict
 from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, random_ic_quasi_measurement, validate
-from .verify import inference_round_trip
 
 FORMAT_VERSION = 1
 
@@ -170,6 +169,8 @@ def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
 
 
 def cmd_simulate(args) -> int:
+    from .verify import inference_round_trip  # the harness stays off the other commands
+
     if args.trials < 1:
         raise DdiError(f"trials must be positive, got {args.trials}")
     header = ["trial", "seed", "expected_volume_sq", "recovered_volume_sq",

@@ -29,13 +29,17 @@ state set fills the whole ball, for ``d >= 3`` it is a strict subset.
 Both bases of ``T`` are gauge choices.  The defaults below (generalized
 Gell-Mann operators and a Helmert-style hyperplane basis) are fixed and
 deterministic; any other orthonormal pair gives the same geometry.
-States and effects both go through one real matrix ``L`` per embedding,
-built once from the two bases and cached, which maps an operator read as
-interleaved (re, im) floats to ``T`` of its traceless part.
+States and effects both go through one real matrix per embedding, built
+once from the two bases and cached.  Its product with an operator read
+as interleaved (re, im) floats gives, in one matmul, ``T`` of the
+operator's traceless part, the operator's trace, and the entries of
+``X - X^H`` that the Hermiticity check reads.  Embeddings in the default
+bases are built once per dimension and shared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -164,13 +168,19 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
-    """Return ``a`` as a C-ordered complex matrix after checking it is Hermitian."""
+def _square_operator(a: np.ndarray, d: int | None) -> np.ndarray:
+    """Return ``a`` as a C-ordered complex matrix after checking its shape."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("operator must be a square matrix")
     if d is not None and a.shape[0] != d:
         raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
+    return a
+
+
+def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
+    """Return ``a`` as a C-ordered complex matrix after checking it is Hermitian."""
+    a = _square_operator(a, d)
     if not np.isfinite(a).all():
         raise InvalidInputError("operator entries must be finite")
     if np.abs(a - a.conj().T).max() > tol:
@@ -182,10 +192,11 @@ def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
 class StateEmbedding:
     """Pairing of operator and vector bases defining the quantum embedding.
 
-    States and effects both go through one real matrix, :attr:`real_map`,
-    built from the two bases on first use and cached.  Both bases are
-    copied and made read-only on construction, so later writes to the
-    caller's arrays reach neither the bases nor the cached map.
+    States and effects both go through one real matrix,
+    :attr:`operator_map`, built from the two bases on first use and
+    cached.  Both bases are copied and made read-only on construction, so
+    later writes to the caller's arrays reach neither the bases nor the
+    cached map.
 
     Attributes
     ----------
@@ -216,20 +227,49 @@ class StateEmbedding:
         return float(np.sqrt((self.d + 1.0) / self.d))
 
     @cached_property
-    def real_map(self) -> np.ndarray:
-        """Read-only ``(l, 2*d*d)`` matrix ``L`` with ``L @ x = T(X)``.
+    def operator_map(self) -> np.ndarray:
+        """Read-only ``(l + 2 + d*(d+1), 2*l)`` matrix checking and mapping an operator.
 
         ``x`` is the C-ordered ``d x d`` complex matrix ``X`` read as
-        interleaved (re, im) floats, and ``T(X)`` is
-        ``tangent_basis @ [Re tr(B_k X)]_k`` over the operator basis
-        ``B_k``.  Row ``k`` of the operator part is ``conj(B_k).T`` read
-        the same way, since ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``.
+        interleaved (re, im) floats.  The product ``operator_map @ x``
+        holds, in order:
+
+        - ``T(X) = tangent_basis @ [Re tr(B_k X)]_k`` over the operator
+          basis ``B_k`` (``l`` rows, :attr:`real_map`).  Row ``k`` of the
+          operator part is ``conj(B_k).T`` read the same way, since
+          ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``;
+        - ``Re tr X`` and ``Im tr X``;
+        - ``(X - X^H)[i, j]`` for ``i <= j`` as (re, im) pairs.  Each
+          row holds two coefficients of +-1 (on the diagonal, a 2 for
+          the imaginary part and none for the real part, which is zero),
+          so each entry is rounded once, as the direct subtraction is,
+          and the entries below the diagonal only repeat these moduli.
         """
+        d, l = self.d, self.l
         pairing = self.operator_basis.transpose(0, 2, 1).conj()
         pairing = np.ascontiguousarray(pairing, dtype=complex).view(float)
-        real_map = self.tangent_basis @ pairing.reshape(self.l - 1, 2 * self.l)
-        real_map.setflags(write=False)
-        return real_map
+        rows = np.zeros((l + 2 + d * (d + 1), 2 * l))
+        rows[:l] = self.tangent_basis @ pairing.reshape(l - 1, 2 * l)
+        diagonal = 2 * (d + 1) * np.arange(d)
+        rows[l, diagonal] = 1.0
+        rows[l + 1, diagonal + 1] = 1.0
+        i, j = np.triu_indices(d)
+        upper, lower = 2 * (i * d + j), 2 * (j * d + i)
+        re = l + 2 + 2 * np.arange(len(i))
+        rows[re, upper] += 1.0
+        rows[re, lower] -= 1.0
+        rows[re + 1, upper + 1] += 1.0
+        rows[re + 1, lower + 1] += 1.0
+        rows.setflags(write=False)
+        return rows
+
+    @property
+    def real_map(self) -> np.ndarray:
+        """Read-only ``(l, 2*l)`` matrix ``L`` with ``L @ x = T(X)``.
+
+        A view of the first ``l`` rows of :attr:`operator_map`.
+        """
+        return self.operator_map[:self.l]
 
     @classmethod
     def for_dimension(cls, d: int, operator_basis: np.ndarray | None = None,
@@ -237,13 +277,17 @@ class StateEmbedding:
                       tol: float = DEFAULT_TOL) -> "StateEmbedding":
         """Build the embedding for Hilbert dimension ``d``.
 
+        With both bases left at their defaults, every call for the same
+        ``d`` returns one shared instance, whose cached map is built once.
         Custom bases may be supplied to change gauge; they are validated
         for orthonormality, tracelessness, and orthogonality to the
-        all-ones vector.
+        all-ones vector, and give a new instance.
         """
         if not isinstance(d, (int, np.integer)) or d < 2:
             raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
         d = int(d)
+        if operator_basis is None and tangent_basis is None:
+            return _default_embedding(d)
         l = d * d
         if operator_basis is None:
             operator_basis = traceless_hermitian_basis(d)
@@ -272,6 +316,39 @@ class StateEmbedding:
         return cls(d=d, operator_basis=operator_basis, tangent_basis=tangent_basis)
 
 
+@lru_cache
+def _default_embedding(d: int) -> StateEmbedding:
+    return StateEmbedding(d, traceless_hermitian_basis(d), hyperplane_basis(d * d))
+
+
+def _embed_parts(op: np.ndarray, embedding: StateEmbedding,
+                 tol: float) -> tuple[np.ndarray, float, float]:
+    """Check a Hermitian operator ``X``; return ``T(X)``, ``Re tr X``, ``Im tr X``.
+
+    One product with :attr:`StateEmbedding.operator_map` gives the map,
+    the trace and the Hermiticity deviation.  Its entries must be finite
+    before it runs, or ``0 * inf`` in the product would warn.  ``vdot``
+    is the screen because, unlike ``dot`` and ``matmul``, it does not
+    warn when the sum of squares of large finite entries overflows; only
+    then, or with a non-finite entry, does ``isfinite`` have to look.
+    """
+    a = _square_operator(op, embedding.d)
+    x = a.view(float).ravel()
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+        raise InvalidInputError("operator entries must be finite")
+    y = embedding.operator_map @ x
+    l = embedding.l
+    deviation = y[l + 2:]
+    # Every modulus is within tol when the squares sum to at most
+    # (tol/2)^2, so each is taken only when they do not.  Below 1e-150 the
+    # squares could underflow, so such a tol (or one not positive) always
+    # takes each modulus.
+    if not (tol >= 1e-150 and np.vdot(deviation, deviation) <= 0.25 * tol * tol):
+        if np.hypot(deviation[0::2], deviation[1::2]).max() > tol:
+            raise InvalidInputError("operator is not Hermitian within tolerance")
+    return y[:l], float(y[l]), float(y[l + 1])
+
+
 def embed_density(rho: np.ndarray, embedding: StateEmbedding,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """Embed a density matrix as a state vector in R^(d*d).
@@ -292,11 +369,11 @@ def embed_density(rho: np.ndarray, embedding: StateEmbedding,
         Vector on the state hyperplane; unit norm exactly when ``rho``
         is pure.
     """
-    rho = _require_hermitian(rho, embedding.d, tol)
-    trace = rho.trace()
-    if abs(trace - 1.0) > tol:
-        raise NotNormalizedError(f"density matrix must have unit trace, got {trace}")
-    return embedding.alpha * (embedding.real_map @ rho.view(float).ravel()) + 1.0 / embedding.l
+    tangent, trace_re, trace_im = _embed_parts(rho, embedding, tol)
+    if math.hypot(trace_re - 1.0, trace_im) > tol:
+        raise NotNormalizedError(
+            f"density matrix must have unit trace, got {complex(trace_re, trace_im)}")
+    return embedding.alpha * tangent + 1.0 / embedding.l
 
 
 def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
@@ -309,9 +386,8 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
     Operators outside ``0 <= E <= eye(d)`` are accepted; only
     Hermiticity is required.
     """
-    effect = _require_hermitian(effect, embedding.d, tol)
-    trace = float(effect.trace().real)
-    return (embedding.real_map @ effect.view(float).ravel()) / embedding.alpha + trace / embedding.d
+    tangent, trace, _ = _embed_parts(effect, embedding, tol)
+    return tangent / embedding.alpha + trace / embedding.d
 
 
 def hermitian_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -9,6 +9,8 @@ same quantity.
 import numpy as np
 from scipy.optimize import minimize
 
+from ddi import InvalidInputError, NotNormalizedError
+
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -46,6 +48,20 @@ def embed_effect_einsum(effect, embedding):
     coeffs = np.einsum("kij,ji->k", embedding.operator_basis, effect).real
     l = embedding.l
     return (trace / embedding.d) * np.ones(l) + (embedding.tangent_basis @ coeffs) / embedding.alpha
+
+
+def embedding_rejection(op, tol, unit_trace):
+    """The error class embedding ``op`` must raise, or None: its checks written out.
+
+    Entries must be finite, ``max |X - X^H|`` at most ``tol`` and, for a
+    density matrix, ``|tr X - 1|`` at most ``tol``, tested in that order.
+    """
+    op = np.asarray(op, dtype=complex)
+    if not np.isfinite(op).all() or np.abs(op - op.conj().T).max() > tol:
+        return InvalidInputError
+    if unit_trace and abs(np.trace(op) - 1.0) > tol:
+        return NotNormalizedError
+    return None
 
 
 def flat_cloud(seed, e):
@@ -132,15 +148,26 @@ def triangle_area(points2d):
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def chart_lift(cloud):
-    """The cloud's chart coordinates, lifted to (x_i, 1), unwhitened."""
-    x = (cloud.points - cloud.base) @ cloud.chart
-    return x, np.hstack([x, np.ones((len(x), 1))])
+def chart_coordinates(cloud):
+    """The cloud's chart coordinates, unwhitened."""
+    return (cloud.points - cloud.base) @ cloud.chart
+
+
+def whitened_lift(x):
+    """Points ``x`` lifted to ``(x_i, 1)`` and whitened by a thin QR, as ``mvee`` does.
+
+    The ellipsoid's weights and every leverage are affine-invariant, so
+    they are the same on these coordinates, whose uniform scatter is the
+    identity: a flat cloud's thin direction is as well scaled as the
+    others, where in the raw chart a dense solve loses it.
+    """
+    m = len(x)
+    return np.sqrt(m) * np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
 
 
 def duality_gap_dense(cloud, weights):
-    """Relative duality gap at ``weights``, from one dense solve in the raw chart."""
-    _, lifted = chart_lift(cloud)
+    """Relative duality gap at ``weights``, from one dense solve on whitened points."""
+    lifted = whitened_lift(chart_coordinates(cloud))
     dim = lifted.shape[1]
     scatter = lifted.T @ (weights[:, None] * lifted)
     leverage = np.einsum("ij,ji->i", lifted, np.linalg.solve(scatter, lifted.T))
@@ -152,14 +179,14 @@ def khachiyan_weights_dense(x, eps, max_iter):
 
     The toward/away/drop step rule of the production solver, without its
     Newton steps on the support's face: the lifted scatter is rebuilt and
-    solved against every point at each step, O(m d^2) per step, in the
-    raw coordinates, and convergence stays linear.  It reaches the same
-    optimum by a different route.  Returns
-    ``(weights, gap, iterations, converged)``.
+    solved against every point at each step, O(m d^2) per step, and
+    convergence stays linear.  It reaches the same optimum by a different
+    route.  Like the solver, it runs on :func:`whitened_lift` points.
+    Returns ``(weights, gap, iterations, converged)``.
     """
     m, d = x.shape
     dim = d + 1
-    lifted = np.hstack([x, np.ones((m, 1))])
+    lifted = whitened_lift(x)
     u = np.full(m, 1.0 / m)
     gap = np.inf
     for iteration in range(max_iter + 1):
@@ -192,7 +219,7 @@ def khachiyan_weights_dense(x, eps, max_iter):
 
 def mvee_dense(cloud, eps, max_iter=10 ** 6):
     """``(center, shape)`` of the cloud's ellipsoid by the reference iteration."""
-    x, _ = chart_lift(cloud)
+    x = chart_coordinates(cloud)
     weights, _, _, converged = khachiyan_weights_dense(x, eps, max_iter)
     assert converged, "reference iteration did not converge"
     center_x = weights @ x

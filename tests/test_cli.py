@@ -387,3 +387,17 @@ class TestSubprocessEntry:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
+
+    def test_import_leaves_the_harness_unloaded(self):
+        # ddi.verify loads on first use of one of its names, not with the CLI
+        script = (
+            "import sys\n"
+            "import ddi.cli\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name == 'ddi.verify' or name.split('.')[0] == 'scipy'))\n"
+            "from ddi import inference_round_trip\n"
+            "print(inference_round_trip.__module__)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["[]", "ddi.verify"]

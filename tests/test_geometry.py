@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from ddi.geometry import hermitian_from_dict, hermitian_to_dict
 from helpers import (
     bloch_qubit,
     embed_density_einsum,
+    embed_effect_einsum,
     random_density,
     random_hermitian,
     random_pure_density,
@@ -288,6 +291,64 @@ class TestEmbedding:
     def test_effect_rejects_non_hermitian_or_wrong_dimension(self, op):
         with pytest.raises(InvalidInputError):
             embed_effect(op, StateEmbedding.for_dimension(2))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("embed", [embed_density, embed_effect])
+    def test_rejects_every_non_finite_entry_without_warning(self, embed, d):
+        emb = StateEmbedding.for_dimension(d)
+        for i in range(d):
+            for j in range(d):
+                for value in (np.nan, np.inf, -np.inf):
+                    for part in (1.0, 1j):
+                        op = np.eye(d, dtype=complex) / d
+                        op[i, j] += part * value
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            with pytest.raises(InvalidInputError, match="finite"):
+                                embed(op, emb)
+
+    def test_large_finite_entries_are_screened_without_warning(self):
+        # the sum of squares of these entries overflows, but they are finite
+        emb = StateEmbedding.for_dimension(3)
+        op = np.eye(3, dtype=complex) / 3
+        op[0, 2], op[2, 0] = 1e300 + 1e299j, 1e300 - 1e299j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(embed_effect(op, emb), embed_effect_einsum(op, emb),
+                                       rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(embed_density(op, emb), embed_density_einsum(op, emb),
+                                       rtol=1e-15, atol=0.0)
+            op[2, 0] = 0.0
+            for embed in (embed_density, embed_effect):
+                with pytest.raises(InvalidInputError, match="Hermitian"):
+                    embed(op, emb)
+
+    @pytest.mark.parametrize("embed", [embed_density, embed_effect])
+    def test_tiny_tolerances_compare_each_deviation(self, embed):
+        # squared, these deviations underflow to zero
+        op = np.eye(2, dtype=complex) / 2
+        op[0, 1] = 1e-170
+        emb = StateEmbedding.for_dimension(2)
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            embed(op, emb, tol=1e-180)
+        embed(op, emb, tol=1e-160)
+        with pytest.raises(InvalidInputError, match="Hermitian"):
+            embed(np.eye(2) / 2, emb, tol=-1.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_default_embedding_is_shared_per_dimension(self, d):
+        emb = StateEmbedding.for_dimension(d)
+        assert StateEmbedding.for_dimension(d) is emb
+        assert StateEmbedding.for_dimension(np.int64(d)) is emb
+        # one cached matrix: the real map is a read-only view of its first l rows
+        assert not emb.operator_map.flags.writeable
+        assert emb.real_map.base is emb.operator_map
+        np.testing.assert_array_equal(emb.real_map, emb.operator_map[:emb.l])
+        custom = [StateEmbedding.for_dimension(d, tangent_basis=emb.tangent_basis[:, ::-1])
+                  for _ in range(2)]
+        assert custom[0] is not emb and custom[0] is not custom[1]
+        with pytest.raises(InvalidInputError):
+            StateEmbedding.for_dimension(d, operator_basis=2.0 * emb.operator_basis)
 
     def test_rejects_real_trace_off_by_1e_6(self):
         rho = np.eye(3, dtype=complex) / 3

@@ -283,11 +283,7 @@ class TestMvee:
         (dirichlet_cloud(300, 8, 1), True),
         (dirichlet_cloud(60, 16, 1), True),
         (dirichlet_cloud(12, 4, 1), True),
-        # the reference iterates in the raw chart, where flatter clouds
-        # than these are too badly scaled for it to reach 1e-12
-        (ProbabilityCloud(flat_cloud(0, 1e-2)), True),
-        (ProbabilityCloud(flat_cloud(0, 1e-3)), True),
-        (ProbabilityCloud(flat_cloud(0, 1e-4)), True),
+        *[(ProbabilityCloud(flat_cloud(0, e)), True) for e in np.logspace(-2, -8, 7)],
         # the optimum rests on 4 points in 3 dimensions, a simplex, whose
         # face holds a single weight vector: only toward steps move it
         (ProbabilityCloud(flat_cloud(1, 1e-2)), False),
@@ -295,7 +291,8 @@ class TestMvee:
         # so their lifts cannot be independent and no Newton step is tried
         (qutrit_cloud(40), False),
     ], ids=["dirichlet-300x8", "dirichlet-60x16", "dirichlet-12x4",
-            "flat-1e-2", "flat-1e-3", "flat-1e-4", "flat-simplex", "qutrit-200"])
+            "flat-1e-2", "flat-1e-3", "flat-1e-4", "flat-1e-5", "flat-1e-6", "flat-1e-7",
+            "flat-1e-8", "flat-simplex", "qutrit-200"])
     def test_face_newton_steps_reach_the_dense_optimum(self, cloud, newton, monkeypatch):
         taken = count_face_steps(monkeypatch)
         e = mvee(cloud, eps=1e-12)

@@ -8,13 +8,16 @@ their plane by a tiny step, where every returned result must still
 contain the cloud.  The volume and counter-image that the inference map
 reads off the ellipsoid's root are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
-measurement.  The quantum embedding's cached real map is compared with
-an einsum over the operator basis, for every memory layout a caller may
-pass.  Examples are derandomized and no example database is
+measurement.  The quantum embedding's cached map is compared with an
+einsum over the operator basis, for every memory layout a caller may
+pass, keeps the Born rule, and refuses operators at twice the tolerance
+from Hermitian or unit trace as the checks written out do.  Examples
+are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,7 @@ from ddi.inference import assemble_result
 from helpers import (
     embed_density_einsum,
     embed_effect_einsum,
+    embedding_rejection,
     flat_cloud,
     random_density,
     random_hermitian,
@@ -274,3 +278,59 @@ def test_embedding_matches_the_einsum_reference(case):
     for op in memory_layouts(effect):
         np.testing.assert_allclose(embed_effect(op, embedding),
                                    embed_effect_einsum(op, embedding), rtol=0.0, atol=1e-14)
+
+
+@PROPERTY
+@given(case=embedded_operators())
+def test_embedding_keeps_the_born_rule(case):
+    embedding, rho, effect = case
+    probability = float(embed_effect(effect, embedding) @ embed_density(rho, embedding))
+    assert probability == pytest.approx(float(np.trace(effect @ rho).real), abs=1e-12)
+
+
+def nudged_operator(d, kind, size, rng):
+    # a unit-trace Hermitian matrix moved by ``size`` in one checked
+    # quantity: an entry of X - X^H off or on the diagonal, or the real or
+    # imaginary part of the trace (spread over the diagonal, whose own
+    # deviation is then 2 * size / d)
+    h = random_hermitian(d, rng)
+    op = h + (1.0 - np.trace(h).real) / d * np.eye(d)
+    i, j = rng.permutation(d)[:2]
+    if kind == "off-diagonal":
+        op[i, j] += size * np.exp(2j * np.pi * rng.random())
+    elif kind == "diagonal":
+        op[i, i] += 0.5j * size  # (X - X^H)[i, i] = 2i Im X[i, i]
+    elif kind == "trace-re":
+        op[i, i] += size
+    else:
+        op[np.diag_indices(d)] += 1j * size / d
+    return op
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from((1e-9, 1e-6)))
+def test_embedding_checks_agree_with_the_written_out_checks(seed, tol):
+    # at 0.9 of the tolerance the squared deviations no longer sum to its
+    # quarter, so the moduli are compared one by one
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        embedding = StateEmbedding.for_dimension(d)
+        for kind in ("off-diagonal", "diagonal", "trace-re", "trace-im"):
+            for factor in (0.5, 0.9, 2.0):
+                op = nudged_operator(d, kind, factor * tol, rng)
+                for embed, reference, unit_trace in (
+                        (embed_density, embed_density_einsum, True),
+                        (embed_effect, embed_effect_einsum, False)):
+                    expected = embedding_rejection(op, tol, unit_trace)
+                    if kind != "trace-im" and (unit_trace or kind != "trace-re"):
+                        assert (expected is not None) == (factor > 1.0)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        if expected is None:
+                            np.testing.assert_allclose(embed(op, embedding, tol),
+                                                       reference(op, embedding),
+                                                       rtol=0.0, atol=1e-14)
+                        else:
+                            with pytest.raises(DdiError) as info:
+                                embed(op, embedding, tol)
+                            assert type(info.value) is expected
