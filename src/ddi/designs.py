@@ -174,12 +174,11 @@ def random_stabilizing_orthogonal(l: int, seed: int | np.random.Generator = 0) -
     return np.ones((l, l)) / l + basis @ q @ basis.T
 
 
-def rotate_set(states: WeightedStateSet, rotation: np.ndarray,
-               tol: float = DEFAULT_TOL) -> WeightedStateSet:
+def rotate_set(states: WeightedStateSet, rotation: np.ndarray) -> WeightedStateSet:
     """Apply a stabilizing orthogonal map to every point of a state set.
 
     Raises :class:`InvalidRotationError` unless ``rotation`` is
-    orthogonal and fixes the all-ones vector, both within ``tol``.
+    orthogonal and fixes the all-ones vector, both within ``DEFAULT_TOL``.
     Weights are untouched; norms, pairwise angles, and any design
     property are preserved.
     """
@@ -188,16 +187,15 @@ def rotate_set(states: WeightedStateSet, rotation: np.ndarray,
     if rotation.shape != (l, l):
         raise InvalidRotationError(f"rotation must be {l} x {l}, got {rotation.shape}")
     ones = np.ones(l)
-    if np.abs(rotation @ ones - ones).max() > tol:
+    if np.abs(rotation @ ones - ones).max() > DEFAULT_TOL:
         raise InvalidRotationError("rotation must fix the all-ones vector")
-    if np.abs(rotation.T @ rotation - np.eye(l)).max() > tol:
+    if np.abs(rotation.T @ rotation - np.eye(l)).max() > DEFAULT_TOL:
         raise InvalidRotationError("rotation must be orthogonal")
     return WeightedStateSet(points=states.points @ rotation.T, weights=states.weights)
 
 
 def haar_average_estimate(s: np.ndarray, samples: int,
-                          seed: int | np.random.Generator = 0,
-                          tol: float = DEFAULT_TOL) -> np.ndarray:
+                          seed: int | np.random.Generator = 0) -> np.ndarray:
     """Monte-Carlo estimate of the orbit average of ``s s^T``.
 
     Averages ``(O s)(O s)^T`` over Haar-random stabilizing orthogonals.
@@ -212,7 +210,7 @@ def haar_average_estimate(s: np.ndarray, samples: int,
         raise InvalidInputError("state must be a finite vector of length >= 2")
     plane = abs(float(s.sum()) - 1.0)
     radial = abs(float(s @ s) - 1.0)
-    if plane > tol or radial > tol:
+    if plane > DEFAULT_TOL or radial > DEFAULT_TOL:
         raise NotPureStateError(
             "orbit averaging requires a pure state on the hyperplane",
             deviation=max(plane, radial))

@@ -29,6 +29,8 @@ state set fills the whole ball, for ``d >= 3`` it is a strict subset.
 Both bases of ``T`` are gauge choices.  The defaults below (generalized
 Gell-Mann operators and a Helmert-style hyperplane basis) are fixed and
 deterministic; any other orthonormal pair gives the same geometry.
+Every embedding checks its pair when it is built, at ``DEFAULT_TOL``,
+whether through :meth:`StateEmbedding.for_dimension` or directly.
 States and effects both go through one real matrix per embedding, built
 once from the two bases and cached.  Its product with an operator read
 as interleaved (re, im) floats gives, in one matmul, ``T`` of the
@@ -168,17 +170,17 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _square_operator(a: np.ndarray, d: int | None) -> np.ndarray:
+def _square_operator(a: np.ndarray, d: int) -> np.ndarray:
     """Return ``a`` as a C-ordered complex matrix after checking its shape."""
     a = np.ascontiguousarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("operator must be a square matrix")
-    if d is not None and a.shape[0] != d:
+    if a.shape[0] != d:
         raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
     return a
 
 
-def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
+def _require_hermitian(a: np.ndarray, d: int, tol: float) -> np.ndarray:
     """Return ``a`` as a C-ordered complex matrix after checking it is Hermitian."""
     a = _square_operator(a, d)
     if not np.isfinite(a).all():
@@ -188,15 +190,21 @@ def _require_hermitian(a: np.ndarray, d: int | None, tol: float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _hilbert_dimension(d) -> int:
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
+    return int(d)
+
+
+@dataclass(frozen=True, eq=False)
 class StateEmbedding:
     """Pairing of operator and vector bases defining the quantum embedding.
 
     States and effects both go through one real matrix,
     :attr:`operator_map`, built from the two bases on first use and
-    cached.  Both bases are copied and made read-only on construction, so
-    later writes to the caller's arrays reach neither the bases nor the
-    cached map.
+    cached.  Both bases are validated, copied and made read-only however
+    the embedding is built, so later writes to the caller's arrays reach
+    neither the bases nor the cached map.  Equality and hash go by identity.
 
     Attributes
     ----------
@@ -213,8 +221,29 @@ class StateEmbedding:
     tangent_basis: np.ndarray
 
     def __post_init__(self):
-        for name in ("operator_basis", "tangent_basis"):
-            basis = np.array(getattr(self, name))
+        d = _hilbert_dimension(self.d)
+        l = d * d
+        ops = np.array(self.operator_basis, dtype=complex)
+        if ops.shape != (l - 1, d, d):
+            raise InvalidInputError(f"operator basis must have shape {(l - 1, d, d)}")
+        if not np.isfinite(ops).all():
+            raise InvalidInputError("operator entries must be finite")
+        swapped = ops.transpose(0, 2, 1)
+        if np.abs(ops - swapped.conj()).max() > DEFAULT_TOL:
+            raise InvalidInputError("operator is not Hermitian within tolerance")
+        if np.abs(np.trace(ops, axis1=1, axis2=2)).max() > DEFAULT_TOL:
+            raise InvalidInputError("operator basis must be traceless")
+        gram = ops.reshape(l - 1, l) @ swapped.reshape(l - 1, l).T  # tr(B_a B_b)
+        if np.abs(gram - np.eye(l - 1)).max() > DEFAULT_TOL:
+            raise InvalidInputError("operator basis must be orthonormal")
+        tangent = np.array(self.tangent_basis, dtype=float)
+        if tangent.shape != (l, l - 1):
+            raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
+        if np.abs(tangent.T @ tangent - np.eye(l - 1)).max() > DEFAULT_TOL:
+            raise InvalidInputError("tangent basis must be orthonormal")
+        if np.abs(tangent.sum(axis=0)).max() > DEFAULT_TOL:
+            raise InvalidInputError("tangent basis must be orthogonal to the all-ones vector")
+        for name, basis in (("operator_basis", ops), ("tangent_basis", tangent)):
             basis.setflags(write=False)
             object.__setattr__(self, name, basis)
 
@@ -235,7 +264,7 @@ class StateEmbedding:
         holds, in order:
 
         - ``T(X) = tangent_basis @ [Re tr(B_k X)]_k`` over the operator
-          basis ``B_k`` (``l`` rows, :attr:`real_map`).  Row ``k`` of the
+          basis ``B_k`` (the first ``l`` rows).  Row ``k`` of the
           operator part is ``conj(B_k).T`` read the same way, since
           ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``;
         - ``Re tr X`` and ``Im tr X``;
@@ -263,57 +292,24 @@ class StateEmbedding:
         rows.setflags(write=False)
         return rows
 
-    @property
-    def real_map(self) -> np.ndarray:
-        """Read-only ``(l, 2*l)`` matrix ``L`` with ``L @ x = T(X)``.
-
-        A view of the first ``l`` rows of :attr:`operator_map`.
-        """
-        return self.operator_map[:self.l]
-
     @classmethod
     def for_dimension(cls, d: int, operator_basis: np.ndarray | None = None,
-                      tangent_basis: np.ndarray | None = None,
-                      tol: float = DEFAULT_TOL) -> "StateEmbedding":
+                      tangent_basis: np.ndarray | None = None) -> "StateEmbedding":
         """Build the embedding for Hilbert dimension ``d``.
 
         With both bases left at their defaults, every call for the same
         ``d`` returns one shared instance, whose cached map is built once.
-        Custom bases may be supplied to change gauge; they are validated
-        for orthonormality, tracelessness, and orthogonality to the
-        all-ones vector, and give a new instance.
+        Custom bases may be supplied to change gauge; they give a new
+        instance, which the constructor validates.
         """
-        if not isinstance(d, (int, np.integer)) or d < 2:
-            raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
-        d = int(d)
+        d = _hilbert_dimension(d)
         if operator_basis is None and tangent_basis is None:
             return _default_embedding(d)
-        l = d * d
         if operator_basis is None:
             operator_basis = traceless_hermitian_basis(d)
-        else:
-            operator_basis = np.asarray(operator_basis, dtype=complex)
-            if operator_basis.shape != (l - 1, d, d):
-                raise InvalidInputError(
-                    f"operator basis must have shape {(l - 1, d, d)}")
-            for b in operator_basis:
-                _require_hermitian(b, d, tol)
-                if abs(np.trace(b)) > tol:
-                    raise InvalidInputError("operator basis must be traceless")
-            gram = np.einsum("aij,bji->ab", operator_basis, operator_basis)
-            if np.abs(gram - np.eye(l - 1)).max() > tol:
-                raise InvalidInputError("operator basis must be orthonormal")
         if tangent_basis is None:
-            tangent_basis = hyperplane_basis(l)
-        else:
-            tangent_basis = np.asarray(tangent_basis, dtype=float)
-            if tangent_basis.shape != (l, l - 1):
-                raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
-            if np.abs(tangent_basis.T @ tangent_basis - np.eye(l - 1)).max() > tol:
-                raise InvalidInputError("tangent basis must be orthonormal")
-            if np.abs(tangent_basis.sum(axis=0)).max() > tol:
-                raise InvalidInputError("tangent basis must be orthogonal to the all-ones vector")
-        return cls(d=d, operator_basis=operator_basis, tangent_basis=tangent_basis)
+            tangent_basis = hyperplane_basis(d * d)
+        return cls(d, operator_basis, tangent_basis)
 
 
 @lru_cache

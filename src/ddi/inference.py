@@ -72,7 +72,6 @@ from .errors import (
 )
 from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
 from .designs import (
-    DESIGN_TOL,
     DesignCertificate,
     WeightedStateSet,
     certify_design,
@@ -205,6 +204,8 @@ _MIN_DENOMINATOR = 1e-2
 # Below this gap, a support small enough for independent rank-one lifts
 # is finished by Newton steps on its face.
 _FACE_GAP = 1e-2
+# Slack of the containment check on a converged ellipsoid's worst quadratic.
+_CONTAINMENT_TOL = 1e-6
 
 
 def _face_newton(lifted: np.ndarray, inverse: np.ndarray, u: np.ndarray, support: np.ndarray):
@@ -237,7 +238,8 @@ def _face_newton(lifted: np.ndarray, inverse: np.ndarray, u: np.ndarray, support
     weights = np.maximum(weights + step * direction, 0.0)
     if drop is not None:
         weights[drop] = 0.0
-    # log det M(new) - log det M(u) is log det(inverse @ M(new))
+    # log det M(new) - log det M(u) is log det(inverse @ M(new)); a rise lost to
+    # rounding reads <= 0 and is refused, leaving the move to the ordinary step
     sign, rise = np.linalg.slogdet(inverse @ (a.T @ (weights[:, None] * a)))
     if sign <= 0.0 or rise <= 0.0:
         return None
@@ -477,8 +479,7 @@ def _assemble(ellipsoid: Ellipsoid, cloud: ProbabilityCloud, containment_tol: fl
     return QuasiMeasurement(matrix=matrix), float(np.prod(sv * sv)), counter
 
 
-def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
-                             containment_tol: float = 1e-6) -> QuasiMeasurement:
+def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud) -> QuasiMeasurement:
     """Canonical quasi-measurement whose range is the given ellipsoid.
 
     Maps the ball center ``u/l`` to the ellipsoid center and the tangent
@@ -493,11 +494,11 @@ def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     oracles the tests compare them with.
 
     Raises :class:`InvalidInputError` when the ellipsoid does not enclose
-    the cloud, :class:`DegenerateRangeError` when the measurement is rank
-    deficient relative to ``DEFAULT_TOL`` and
+    the cloud (a quadratic above ``1 + 1e-6``), :class:`DegenerateRangeError`
+    when the measurement is rank deficient relative to ``DEFAULT_TOL`` and
     :class:`NotAQuasiMeasurementError` when a column sum misses 1.
     """
-    return _assemble(ellipsoid, cloud, containment_tol)[0]
+    return _assemble(ellipsoid, cloud, _CONTAINMENT_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -537,11 +538,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     tight.
 
     The measurement, ``volume_sq`` and the counter-image all come from
-    the ellipsoid's ``root`` through an ``l x l`` factor ``K`` of the
-    measurement (see :func:`ellipsoid_to_measurement`), not from an SVD
-    of the measurement; :func:`validate`, :func:`range_volume_sq` and
-    :func:`pseudoinverse` are the independent oracles the tests compare
-    them with.
+    ``root``, as :func:`ellipsoid_to_measurement` describes.
 
     Used by :func:`ddi_on_ball` on converged ellipsoids and by callers
     that want to salvage the partial ellipsoid of a
@@ -549,7 +546,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     """
     # a partial ellipsoid encloses the cloud only up to its duality gap
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
-    slack = max(1e-6, 4.0 * ellipsoid.optimality_gap)
+    slack = max(_CONTAINMENT_TOL, 4.0 * ellipsoid.optimality_gap)
     meas, volume, points = _assemble(ellipsoid, cloud, slack)
     counter = WeightedStateSet(points=points, weights=ellipsoid.support_weights)
     return DdiResult(
@@ -577,12 +574,12 @@ def ddi_on_ball(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 *
     return assemble_result(mvee(cloud, eps, max_iter), cloud, design_tol)
 
 
-def ddi_closed_form(cloud: ProbabilityCloud, design_tol: float = DESIGN_TOL) -> DdiResult:
+def ddi_closed_form(cloud: ProbabilityCloud) -> DdiResult:
     """Closed-form inference for clouds of exactly ``l`` independent points.
 
     The optimal measurement simply has the observed distributions as its
-    columns, the counter-image is the standard-basis simplex, and no
-    iteration is involved.
+    columns, the counter-image is the standard-basis simplex, certified
+    at ``DESIGN_TOL``, and no iteration is involved.
     """
     m = len(cloud)
     if m != cloud.span_dim:
@@ -595,7 +592,7 @@ def ddi_closed_form(cloud: ProbabilityCloud, design_tol: float = DESIGN_TOL) -> 
         measurement=meas,
         volume_sq=range_volume_sq(meas),
         counter_image=counter,
-        design_certificate=certify_design(counter, design_tol),
+        design_certificate=certify_design(counter),
         gauge_note=GAUGE_NOTE + "; columns follow the input distribution order",
         optimality_gap=0.0,
         iterations=0,

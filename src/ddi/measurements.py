@@ -35,6 +35,8 @@ from .errors import (
 )
 from .geometry import DEFAULT_TOL, pseudoinverse
 
+_DET_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class QuasiMeasurement:
@@ -85,20 +87,21 @@ def validate(matrix: np.ndarray) -> QuasiMeasurement:
     return meas
 
 
-def apply(meas: QuasiMeasurement, s: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
     """Born rule: outcome vector ``M s`` of a state on the hyperplane.
 
-    For informationally complete measurements the result sums to 1 for
-    every hyperplane state; for rank-deficient ones that holds when
-    ``s`` additionally lies in the measured row space.
+    ``s`` must sum to 1 within ``DEFAULT_TOL``.  For informationally
+    complete measurements the result sums to 1 for every hyperplane
+    state; for rank-deficient ones that holds when ``s`` additionally
+    lies in the measured row space.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (meas.l,):
         raise InvalidStateError(f"state must have length {meas.l}, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
         raise InvalidStateError("state entries must be finite")
-    if abs(float(s.sum()) - 1.0) > tol:
-        raise InvalidStateError(f"state must sum to 1 within {tol}, got {s.sum()}")
+    if abs(float(s.sum()) - 1.0) > DEFAULT_TOL:
+        raise InvalidStateError(f"state must sum to 1 within {DEFAULT_TOL}, got {s.sum()}")
     return meas.matrix @ s
 
 
@@ -122,17 +125,16 @@ def range_volume_sq(meas: QuasiMeasurement) -> float:
     return float(np.prod(sv * sv))
 
 
-def pseudoinverse_closure_check(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
-    """Verify the closure identity ``(M^+)^T u_l = M M^+ u_n``."""
+def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
+    """Verify the closure identity ``(M^+)^T u_l = M M^+ u_n`` within ``DEFAULT_TOL``."""
     pinv = meas.pinv()
     lhs = pinv.T @ np.ones(meas.l)
     rhs = meas.matrix @ (pinv @ np.ones(meas.n))
-    return float(np.linalg.norm(lhs - rhs)) <= tol
+    return float(np.linalg.norm(lhs - rhs)) <= DEFAULT_TOL
 
 
-def det_factorization_check(outer: QuasiMeasurement, inner: QuasiMeasurement,
-                            rel_tol: float = 1e-8) -> bool:
-    """Verify ``det((M L)^T M L) = det(M^T M) det(L^T L)``.
+def det_factorization_check(outer: QuasiMeasurement, inner: QuasiMeasurement) -> bool:
+    """Verify ``det((M L)^T M L) = det(M^T M) det(L^T L)`` to relative 1e-8.
 
     The outer factor may be rectangular but the inner one must be
     square (the identity fails for a strictly rectangular inner
@@ -149,7 +151,7 @@ def det_factorization_check(outer: QuasiMeasurement, inner: QuasiMeasurement,
     product = QuasiMeasurement(matrix=outer.matrix @ inner.matrix)
     lhs = range_volume_sq(product)
     rhs = range_volume_sq(outer) * range_volume_sq(inner)
-    return abs(lhs - rhs) <= rel_tol * abs(rhs)
+    return abs(lhs - rhs) <= _DET_RTOL * abs(rhs)
 
 
 def random_ic_quasi_measurement(n: int, l: int,

@@ -14,9 +14,13 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, PreconditionViolatedError
 from .geometry import DEFAULT_TOL, ball_membership, ball_radius, hyperplane_basis
-from .designs import DESIGN_TOL, DesignCertificate, WeightedStateSet, design_weights, is_two_design
-from .inference import ProbabilityCloud, ddi_closed_form, ddi_on_ball
+from .designs import DesignCertificate, WeightedStateSet, design_weights, is_two_design
+from .inference import ProbabilityCloud, ddi_on_ball
 from .measurements import QuasiMeasurement, is_informationally_complete, range_volume_sq, validate
+
+_DET_RTOL = 1e-8
+_PERTURBATION_SCALE = 0.1
+_MIN_DESIGN_DEVIATION = 1e-3
 
 
 def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
@@ -56,22 +60,21 @@ class VolumeBoundReport:
         return self.satisfied
 
 
-def design_volume_bound_check(meas: QuasiMeasurement, states: WeightedStateSet,
-                              tol: float = DEFAULT_TOL,
-                              design_tol: float = DESIGN_TOL) -> VolumeBoundReport:
+def design_volume_bound_check(meas: QuasiMeasurement,
+                              states: WeightedStateSet) -> VolumeBoundReport:
     """Check ``det(M^T M) >= 1`` for a square measurement enclosing a design.
 
     Preconditions (violations raise :class:`PreconditionViolatedError`):
     ``meas`` is square and invertible, ``states`` certifies as a
-    2-design at ``design_tol``, and every design point lies in the image
+    2-design at ``DESIGN_TOL``, and every design point lies in the image
     of the ball, i.e. each counter-image ``M^-1 s`` is in the ball
-    within ``tol``.
+    within ``DEFAULT_TOL``.
     """
     matrix = meas.matrix
     if meas.n != meas.l or meas.l != states.l:
         raise InvalidInputError(
             f"bound check needs a square {states.l} x {states.l} measurement")
-    certificate = is_two_design(states, design_tol)
+    certificate = is_two_design(states)
     if not certificate.is_design:
         raise PreconditionViolatedError(
             f"state set is not a certified 2-design, deviation {certificate.frame_deviation}")
@@ -81,13 +84,13 @@ def design_volume_bound_check(meas: QuasiMeasurement, states: WeightedStateSet,
     inverse = np.linalg.inv(matrix)
     counter = states.points @ inverse.T
     for s in counter:
-        if not ball_membership(s, tol):
+        if not ball_membership(s):
             raise PreconditionViolatedError(
                 "measurement range does not enclose the design")
     gram_det = float(np.prod(sv * sv))
     trace_gap = float(np.sum(1.0 / (sv * sv)) - meas.l)
     return VolumeBoundReport(
-        satisfied=gram_det >= 1.0 - tol,
+        satisfied=gram_det >= 1.0 - DEFAULT_TOL,
         gram_det=gram_det,
         trace_gap=trace_gap,
     )
@@ -151,8 +154,8 @@ def sample_enclosing_measurement(cloud: ProbabilityCloud,
 
 
 def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
-                                samples: int = 100, seed: int | np.random.Generator = 0,
-                                tol: float = DEFAULT_TOL, det_rtol: float = 1e-8) -> bool:
+                                samples: int = 100,
+                                seed: int | np.random.Generator = 0) -> bool:
     """Sample both directions of the consistency bijection.
 
     For an informationally complete ``M`` whose range contains the
@@ -160,8 +163,8 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     counter-image cloud ``M^+ P`` onto measurements consistent with
     ``P``, and ``M^+`` maps back.  This draws random members on each
     side, checks membership of the image on the other side, and checks
-    the determinant factorization along the way.  Returns True when all
-    samples pass.
+    the determinant factorization (to relative 1e-8) along the way.
+    Returns True when all samples pass.
     """
     if not is_informationally_complete(meas):
         raise InvalidInputError("bijection check requires an informationally complete measurement")
@@ -170,39 +173,38 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
             f"cloud spans {cloud.span_dim} dimensions but the measurement has l={meas.l}")
     pinv = meas.pinv()
     recon = cloud.points @ (meas.matrix @ pinv).T
-    if float(np.abs(recon - cloud.points).max()) > tol:
+    if float(np.abs(recon - cloud.points).max()) > DEFAULT_TOL:
         raise InvalidInputError("cloud must lie in the range of the measurement")
     counter_cloud = ProbabilityCloud(cloud.points @ pinv.T)
     rng = np.random.default_rng(seed)
     for _ in range(int(samples)):
         inner = sample_enclosing_square(counter_cloud.points, rng)
         forward = validate(meas.matrix @ inner.matrix)
-        if not feasibility_check(forward, cloud, max(tol, 1e-8)):
+        if not feasibility_check(forward, cloud, 1e-8):
             return False
         lhs = range_volume_sq(forward)
         rhs = range_volume_sq(meas) * range_volume_sq(inner)
-        if abs(lhs - rhs) > det_rtol * abs(rhs):
+        if abs(lhs - rhs) > _DET_RTOL * abs(rhs):
             return False
         outer = sample_enclosing_measurement(cloud, rng)
         backward = validate(pinv @ outer.matrix)
-        if not feasibility_check(backward, counter_cloud, max(tol, 1e-8)):
+        if not feasibility_check(backward, counter_cloud, 1e-8):
             return False
     return True
 
 
-def _perturbed_simplex(l: int, rng: np.random.Generator, scale: float,
-                       min_deviation: float):
+def _perturbed_simplex(l: int, rng: np.random.Generator):
     """Pure-state simplex perturbation that fails design certification.
 
     Moves each standard-basis point along the sphere and keeps drawing
     until the best weighting over the moved points still misses the
-    frame condition by at least ``min_deviation``.
+    frame condition by at least ``_MIN_DESIGN_DEVIATION``.
     """
     tangent = hyperplane_basis(l)
     radius = ball_radius(l)
     x = (np.eye(l) - np.ones(l) / l) @ tangent
     for _ in range(64):
-        moved = x + scale * rng.standard_normal(x.shape)
+        moved = x + _PERTURBATION_SCALE * rng.standard_normal(x.shape)
         norms = np.linalg.norm(moved, axis=1)
         if norms.min() < 1e-9:
             continue
@@ -212,7 +214,7 @@ def _perturbed_simplex(l: int, rng: np.random.Generator, scale: float,
         if sv[-1] <= 1e-6 * sv[0]:
             continue
         _, deviation = design_weights(points)
-        if deviation >= min_deviation:
+        if deviation >= _MIN_DESIGN_DEVIATION:
             return points, float(deviation)
     raise DegenerateInputError(
         "could not draw a perturbed simplex beyond the requested deviation")
@@ -220,7 +222,12 @@ def _perturbed_simplex(l: int, rng: np.random.Generator, scale: float,
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    """Empirical record of one generate-infer-compare cycle."""
+    """Empirical record of one generate-infer-compare cycle.
+
+    ``closed_form_gap`` is ``max |O^T O - I|`` for the least-squares ``O``
+    with ``M O = M_r``: rounding-level exactly when the recovered ``M_r``
+    is the input ``M`` up to the gauge, as the closed form claims.
+    """
 
     expected_volume_sq: float
     recovered_volume_sq: float
@@ -235,42 +242,39 @@ class RoundTripReport:
 
 
 def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
-                         max_iter: int = 10 ** 6, design_tol: float = 1e-7,
-                         perturbations: int = 0, perturbation_scale: float = 0.1,
-                         min_design_deviation: float = 1e-3,
+                         max_iter: int = 10 ** 6, perturbations: int = 0,
                          seed: int | np.random.Generator = 0) -> RoundTripReport:
     """Generate data from a known measurement, infer it back, and compare.
 
     The cloud is the image of the standard-basis simplex, so the true
     minimum of the squared range volume is ``det(M^T M)`` of the input.
     The report records the recovered volume, the counter-image design
-    certificate, the closed-form agreement, and an explicit feasibility
-    check of the recovered measurement against the cloud.
+    certificate at 1e-7, the distance of the recovered measurement from
+    the input one up to the gauge, and an explicit feasibility check of
+    the recovered measurement against the cloud.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets that fail design certification by at least
-    ``min_design_deviation``; for each the report stores the relative
-    excess of the input measurement's volume over the new minimum.  A
-    positive excess means consistency through a non-design counter-image
-    costs volume.
+    1e-3; for each the report stores the relative excess of the input
+    measurement's volume over the new minimum.  A positive excess means
+    consistency through a non-design counter-image costs volume.
     """
     if not is_informationally_complete(meas):
         raise InvalidInputError("round trip requires an informationally complete measurement")
     expected = range_volume_sq(meas)
     cloud = ProbabilityCloud(meas.matrix.T)
-    result = ddi_on_ball(cloud, eps, max_iter, design_tol)
+    result = ddi_on_ball(cloud, eps, max_iter)
     relative_gap = abs(result.volume_sq - expected) / expected
-    closed = ddi_closed_form(cloud, design_tol)
-    closed_form_gap = abs(closed.volume_sq - expected) / expected
+    gauge = np.linalg.lstsq(meas.matrix, result.measurement.matrix, rcond=None)[0]
+    closed_form_gap = np.abs(gauge.T @ gauge - np.eye(meas.l)).max()
     feasible = feasibility_check(result.measurement, cloud, 1e-6)
     rng = np.random.default_rng(seed)
     excesses = []
     deviations = []
     for _ in range(int(perturbations)):
-        points, deviation = _perturbed_simplex(
-            meas.l, rng, perturbation_scale, min_design_deviation)
+        points, deviation = _perturbed_simplex(meas.l, rng)
         perturbed_cloud = ProbabilityCloud(points @ meas.matrix.T)
-        minimum = ddi_on_ball(perturbed_cloud, eps, max_iter, design_tol).volume_sq
+        minimum = ddi_on_ball(perturbed_cloud, eps, max_iter).volume_sq
         excesses.append(expected / minimum - 1.0)
         deviations.append(deviation)
     return RoundTripReport(

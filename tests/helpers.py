@@ -165,6 +165,20 @@ def whitened_lift(x):
     return np.sqrt(m) * np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
 
 
+def solver_gap(x, weights):
+    """The gap the solver computes from a fresh inverse, by the same operations.
+
+    An honest solver returns this value bit for bit at its returned
+    weights; a gap carried through rank-one updates differs from it in
+    the last places.
+    """
+    lifted = whitened_lift(x)
+    dim = lifted.shape[1]
+    inverse = np.linalg.inv(lifted.T @ (weights[:, None] * lifted))
+    leverage = np.einsum("ij,ij->i", lifted @ inverse, lifted)
+    return max(leverage.max() / dim - 1.0, 1.0 - leverage[weights > 0].min() / dim)
+
+
 def duality_gap_dense(cloud, weights):
     """Relative duality gap at ``weights``, from one dense solve on whitened points."""
     lifted = whitened_lift(chart_coordinates(cloud))

@@ -270,10 +270,9 @@ class TestEmbedding:
 
     def test_returns_a_fresh_writeable_vector(self):
         emb = StateEmbedding.for_dimension(2)
-        assert not emb.real_map.flags.writeable
         for embed, op in ((embed_density, np.eye(2) / 2), (embed_effect, np.eye(2))):
             v = embed(op, emb)
-            assert v.flags.writeable and not np.shares_memory(v, emb.real_map)
+            assert v.flags.writeable and not np.shares_memory(v, emb.operator_map)
             expected = v.copy()
             v[:] = -7.0
             np.testing.assert_array_equal(embed(op, emb), expected)
@@ -340,15 +339,56 @@ class TestEmbedding:
         emb = StateEmbedding.for_dimension(d)
         assert StateEmbedding.for_dimension(d) is emb
         assert StateEmbedding.for_dimension(np.int64(d)) is emb
-        # one cached matrix: the real map is a read-only view of its first l rows
         assert not emb.operator_map.flags.writeable
-        assert emb.real_map.base is emb.operator_map
-        np.testing.assert_array_equal(emb.real_map, emb.operator_map[:emb.l])
         custom = [StateEmbedding.for_dimension(d, tangent_basis=emb.tangent_basis[:, ::-1])
                   for _ in range(2)]
         assert custom[0] is not emb and custom[0] is not custom[1]
         with pytest.raises(InvalidInputError):
             StateEmbedding.for_dimension(d, operator_basis=2.0 * emb.operator_basis)
+
+    @staticmethod
+    def bad_bases(d):
+        """Basis pairs that ``for_dimension`` refuses, each with the message it gives."""
+        ops, tangent = traceless_hermitian_basis(d), hyperplane_basis(d * d)
+        skew = ops.copy()
+        skew[0, 0, 1] += 1e-6
+        shifted = ops.copy()
+        shifted[-1] += 1e-6 * np.eye(d)
+        infinite = ops.copy()
+        infinite[1, 1, 0] = np.inf
+        tilted = tangent.copy()
+        tilted[:, 0] = np.ones(d * d) / d
+        return [
+            (ops[:-1], tangent, "operator basis must have shape"),
+            (infinite, tangent, "operator entries must be finite"),
+            (skew, tangent, "operator is not Hermitian within tolerance"),
+            (shifted, tangent, "operator basis must be traceless"),
+            (2.0 * ops, tangent, "operator basis must be orthonormal"),
+            (ops, tangent[:, :-1], "tangent basis must have shape"),
+            (ops, 2.0 * tangent, "tangent basis must be orthonormal"),
+            (ops, tilted, "tangent basis must be orthogonal to the all-ones vector"),
+        ]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_directly_built_embedding_is_validated(self, d):
+        for ops, tangent, message in self.bad_bases(d):
+            for build in (StateEmbedding, StateEmbedding.for_dimension):
+                with pytest.raises(InvalidInputError, match=message):
+                    build(d, ops, tangent)
+        for bad in (1, 2.0, "2"):
+            with pytest.raises(InvalidDimensionError):
+                StateEmbedding(bad, traceless_hermitian_basis(2), hyperplane_basis(4))
+
+    def test_embeddings_compare_and_hash_by_identity(self):
+        default = StateEmbedding.for_dimension(2)
+        assert default == StateEmbedding.for_dimension(2)
+        assert hash(default) == hash(StateEmbedding.for_dimension(2))
+        custom = StateEmbedding.for_dimension(2, tangent_basis=default.tangent_basis[:, ::-1])
+        twin = StateEmbedding(2, default.operator_basis, default.tangent_basis)
+        assert default != custom and default != twin and custom == custom
+        members = {default, custom, twin, StateEmbedding.for_dimension(2)}
+        assert len(members) == 3 and custom in members
+        assert StateEmbedding.for_dimension(3) not in members
 
     def test_rejects_real_trace_off_by_1e_6(self):
         rho = np.eye(3, dtype=complex) / 3

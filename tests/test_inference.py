@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from ddi import (
     rotate_set,
     validate,
 )
-from ddi import inference
+from ddi import inference, verify
 from ddi.inference import (
     assemble_result,
     cloud_from_dict,
@@ -41,11 +43,13 @@ from ddi.inference import (
 from ddi.verify import sample_enclosing_measurement, sample_enclosing_square
 
 from helpers import (
+    chart_coordinates,
     duality_gap_dense,
     enclosing_ellipse_bruteforce,
     flat_cloud,
     mvee_dense,
     random_pure_density,
+    solver_gap,
     triangle_area,
 )
 
@@ -265,6 +269,21 @@ class TestMvee:
         assert abs(duality_gap_dense(cloud, partial.support_weights)
                    - partial.optimality_gap) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_returned_gap_is_the_fresh_gap_bit_for_bit(self, seed):
+        # about 190 of the 200 points carry weight, more than the 45 whose
+        # lifts can be independent: no Newton step is tried, and the last
+        # steps are rank-one updates, whose carried gap differs in the last
+        # places from the one a fresh inverse gives
+        cloud = qutrit_cloud(seed)
+        x = chart_coordinates(cloud)
+        e = mvee(cloud)
+        assert e.optimality_gap == solver_gap(x, e.support_weights)
+        with pytest.raises(NoConvergenceError) as info:
+            mvee(cloud, max_iter=50)
+        partial = info.value.partial
+        assert partial.optimality_gap == solver_gap(x, partial.support_weights)
+
     def test_matches_dense_reference_iteration(self):
         rng = np.random.default_rng(32)
         clouds = [random_cloud(m, n, rng) for m, n in ((20, 4), (60, 5), (150, 6), (300, 8))]
@@ -303,6 +322,28 @@ class TestMvee:
                                        atol=1e-8 * np.abs(expected).max())
         assert e.optimality_gap <= 1e-12
         assert abs(duality_gap_dense(cloud, e.support_weights) - e.optimality_gap) <= 1e-12
+
+    @pytest.mark.parametrize("cloud", [dirichlet_cloud(30, 5, 1), dirichlet_cloud(60, 6, 1),
+                                       dirichlet_cloud(60, 6, 2)])
+    def test_newton_steps_taken_raise_the_log_det(self, cloud, monkeypatch):
+        # on these clouds some Newton steps near the optimum measure a rise
+        # of at most 0 (rounding), with an invertible Hessian: refused
+        face_newton = inference._face_newton
+        rises, refused = [], []
+
+        def spy(lifted, inverse, u, support):
+            new = face_newton(lifted, inverse, u, support)
+            if new is None:
+                refused.append(u)
+            else:
+                a = lifted[support]
+                rises.append(np.linalg.slogdet(inverse @ (a.T @ (new[support, None] * a))))
+            return new
+
+        monkeypatch.setattr(inference, "_face_newton", spy)
+        assert mvee(cloud).optimality_gap <= 1e-9
+        assert refused and rises
+        assert all(sign > 0.0 and rise > 0.0 for sign, rise in rises)
 
     def test_max_iter_counts_newton_steps(self, monkeypatch):
         # two rotated simplices on the sphere, one vertex pushed out by 1%:
@@ -602,6 +643,29 @@ class TestRoundTrip:
             assert report.closed_form_gap <= 1e-12
             assert report.design_certificate.is_design
             assert report.feasible
+
+    def test_closed_form_gap_sees_a_volume_preserving_shear(self, monkeypatch):
+        # S = I + a b^T / 2 with a, b and u pairwise orthogonal: det S = 1 and
+        # u^T S = u^T, so the sheared measurement keeps its volume and its
+        # column sums, but it is not the input up to the gauge
+        a, b = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, -1.0])
+        shear = np.eye(4) + 0.5 * np.outer(a, b)
+        solve = verify.ddi_on_ball
+
+        def sheared(*args):
+            result = solve(*args)
+            return dataclasses.replace(
+                result, measurement=QuasiMeasurement(result.measurement.matrix @ shear))
+
+        monkeypatch.setattr(verify, "ddi_on_ball", sheared)
+        rng = np.random.default_rng(16)
+        for trial in range(5):
+            meas = random_ic_quasi_measurement(6, 4, rng)
+            report = inference_round_trip(meas)
+            volume = range_volume_sq(validate(meas.matrix @ shear))
+            assert report.relative_gap <= 1e-9
+            assert abs(volume / report.expected_volume_sq - 1.0) <= 1e-12
+            assert report.closed_form_gap > 1e-6
 
     def test_perturbed_counter_images_cost_volume(self):
         rng = np.random.default_rng(17)
