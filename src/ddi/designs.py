@@ -102,8 +102,22 @@ def frame_operator(states: WeightedStateSet) -> np.ndarray:
 
     The result is symmetric with trace ``sum_i w_i |s_i|^2``.
     """
-    f = (states.points.T * states.weights) @ states.points
+    return _frame(states.points, states.weights)
+
+
+def _frame(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    f = (points.T * weights) @ points
     return (f + f.T) / 2.0
+
+
+def _frame_deviation(frame: np.ndarray) -> float:
+    """Spectral-norm distance of a symmetric frame operator from ``eye(l) / l``.
+
+    The excess is symmetric, so its spectral norm is its largest
+    ``|eigenvalue|``.
+    """
+    l = frame.shape[0]
+    return float(np.abs(np.linalg.eigvalsh(frame - np.eye(l) / l)).max())
 
 
 def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
@@ -112,11 +126,8 @@ def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignC
     ``is_design`` holds when the point norms are within ``tol`` of 1 and
     the frame operator is within ``tol`` of ``eye(l) / l``.
     """
-    l = states.l
     sphere_deviation = float(np.abs(np.linalg.norm(states.points, axis=1) - 1.0).max())
-    # the frame operator is symmetric: its spectral norm is the largest |eigenvalue|
-    excess = np.linalg.eigvalsh(frame_operator(states) - np.eye(l) / l)
-    frame_deviation = float(np.abs(excess).max())
+    frame_deviation = _frame_deviation(frame_operator(states))
     return DesignCertificate(
         is_design=max(sphere_deviation, frame_deviation) <= tol,
         frame_deviation=frame_deviation,
@@ -229,6 +240,47 @@ def haar_average_estimate(s: np.ndarray, samples: int,
     return total / samples
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares, ``argmin |a x - b|`` over ``x >= 0``.
+
+    With no more columns than rows, the fit starts from the unconstrained
+    minimizer of the normal equations: where that is positive it is the
+    optimum, since the KKT conditions hold with no bound active.  Otherwise
+    Lawson and Hanson's active-set loop runs from zero (*Solving Least
+    Squares Problems*, 1974), with a least-squares solve over the free
+    columns at each step.
+    """
+    n, m = a.shape
+    x = np.zeros(m)
+    if m <= n:
+        try:
+            start = np.linalg.solve(a.T @ a, a.T @ b)
+        except np.linalg.LinAlgError:  # a singular Gram matrix has no unique minimizer
+            start = x
+        if start.min() > 0.0:
+            return start
+    passive = np.zeros(m, dtype=bool)
+    tol = 10 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(n, m)
+    for _ in range(3 * m):
+        grad = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while passive.any():
+            z = np.zeros(m)
+            z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+            if z[passive].min() > 0.0:
+                x = z
+                break
+            # step from x toward z until the first passive weight reaches zero
+            hit = passive & (z <= 0.0)
+            x = x + np.min(x[hit] / np.maximum(x[hit] - z[hit], tol)) * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
+
+
 def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Search the weight simplex for a design-certifying weighting.
 
@@ -240,26 +292,20 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
 
     This is a verification tool, not part of the inference path: an
     inference result already carries its certifying weights, the
-    solver's dual weights.  SciPy is imported here, on first use, so
-    that importing the package does not load it.
+    solver's dual weights.
     """
-    from scipy.optimize import nnls
-
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must form an (m, l) array")
     m, l = points.shape
     system = np.einsum("mi,mj->mij", points, points).reshape(m, l * l).T
-    target = (np.eye(l) / l).ravel()
-    weights, _ = nnls(system, target)
+    weights = _nnls(system, (np.eye(l) / l).ravel())
     total = weights.sum()
     if total <= 1e-12:
         weights = np.full(m, 1.0 / m)
     else:
         weights = weights / total
-    frame = (points.T * weights) @ points
-    deviation = float(np.linalg.norm(frame - np.eye(l) / l, 2))
-    return weights, deviation
+    return weights, _frame_deviation(_frame(points, weights))
 
 
 def state_set_to_dict(states: WeightedStateSet) -> dict:

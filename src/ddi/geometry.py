@@ -239,6 +239,8 @@ class StateEmbedding:
         tangent = np.array(self.tangent_basis, dtype=float)
         if tangent.shape != (l, l - 1):
             raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
+        if not np.isfinite(tangent).all():
+            raise InvalidInputError("tangent basis entries must be finite")
         if np.abs(tangent.T @ tangent - np.eye(l - 1)).max() > DEFAULT_TOL:
             raise InvalidInputError("tangent basis must be orthonormal")
         if np.abs(tangent.sum(axis=0)).max() > DEFAULT_TOL:

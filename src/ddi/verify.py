@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, PreconditionViolatedError
+from .errors import (
+    DegenerateInputError,
+    DegenerateRangeError,
+    InvalidInputError,
+    PreconditionViolatedError,
+)
 from .geometry import DEFAULT_TOL, ball_membership, ball_radius, hyperplane_basis
 from .designs import DesignCertificate, WeightedStateSet, design_weights, is_two_design
 from .inference import ProbabilityCloud, ddi_on_ball
@@ -33,10 +38,14 @@ def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     """
     if not is_informationally_complete(meas, max(tol, DEFAULT_TOL)):
         raise InvalidInputError("feasibility check requires an informationally complete measurement")
-    pinv = meas.pinv()
-    counter = cloud.points @ pinv.T
-    recon = counter @ meas.matrix.T
-    if float(np.abs(recon - cloud.points).max()) > tol:
+    return _reproduces(meas.matrix, cloud.points @ meas.pinv().T, cloud.points, tol)
+
+
+def _reproduces(matrix: np.ndarray, counter: np.ndarray, points: np.ndarray,
+                tol: float) -> bool:
+    """Does ``counter @ matrix.T`` give ``points`` within ``tol``, with every
+    row of ``counter`` in the ball within ``tol``?"""
+    if float(np.abs(counter @ matrix.T - points).max()) > tol:
         return False
     # ball_membership of every row: on the hyperplane and f(s) <= tol
     sums = counter.sum(axis=1)
@@ -251,7 +260,11 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     The report records the recovered volume, the counter-image design
     certificate at 1e-7, the distance of the recovered measurement from
     the input one up to the gauge, and an explicit feasibility check of
-    the recovered measurement against the cloud.
+    the recovered measurement against the cloud: the result's own
+    counter-image must lie in the ball and be mapped onto the cloud,
+    both within 1e-6.  The input must be informationally complete, by
+    the rank test of :func:`range_volume_sq`; otherwise
+    :class:`InvalidInputError` is raised.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets that fail design certification by at least
@@ -259,15 +272,18 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     measurement's volume over the new minimum.  A positive excess means
     consistency through a non-design counter-image costs volume.
     """
-    if not is_informationally_complete(meas):
-        raise InvalidInputError("round trip requires an informationally complete measurement")
-    expected = range_volume_sq(meas)
+    try:
+        expected = range_volume_sq(meas)
+    except DegenerateRangeError as exc:
+        raise InvalidInputError(
+            "round trip requires an informationally complete measurement") from exc
     cloud = ProbabilityCloud(meas.matrix.T)
     result = ddi_on_ball(cloud, eps, max_iter)
     relative_gap = abs(result.volume_sq - expected) / expected
     gauge = np.linalg.lstsq(meas.matrix, result.measurement.matrix, rcond=None)[0]
     closed_form_gap = np.abs(gauge.T @ gauge - np.eye(meas.l)).max()
-    feasible = feasibility_check(result.measurement, cloud, 1e-6)
+    feasible = _reproduces(result.measurement.matrix, result.counter_image.points,
+                           cloud.points, 1e-6)
     rng = np.random.default_rng(seed)
     excesses = []
     deviations = []

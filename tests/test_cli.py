@@ -374,15 +374,24 @@ class TestSubprocessEntry:
         assert out_proc.read_bytes() == out_local.read_bytes()
 
     def test_infer_and_simulate_load_no_scipy(self, tmp_path):
-        # a fresh interpreter, since the test helpers import scipy
+        # a fresh interpreter, since the test helpers import scipy; with
+        # sys.modules["scipy"] = None any scipy import there raises
         inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)
         script = (
             "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from ddi import design_weights, inference_round_trip, random_ic_quasi_measurement\n"
             "from ddi.cli import main\n"
             f"assert main(['infer', {inp!r}, '--output', {str(tmp_path / 'r.json')!r}]) == 0\n"
             "assert main(['simulate', '4', '3', '2', "
             f"'--output', {str(tmp_path / 's.csv')!r}]) == 0\n"
-            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+            "meas = random_ic_quasi_measurement(12, 9, 1)\n"
+            "report = inference_round_trip(meas, perturbations=3)\n"
+            "assert report.feasible and len(report.perturbed_excess) == 3\n"
+            "assert design_weights(np.eye(4))[1] <= 1e-12\n"
+            "print(sorted(name for name, module in sys.modules.items()\n"
+            "             if module is not None and name.split('.')[0] == 'scipy'))\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr

@@ -15,6 +15,7 @@ from ddi import (
     regular_simplex,
     rotate_set,
 )
+from ddi import verify
 from ddi.designs import certify_design, state_set_from_dict, state_set_to_dict
 
 
@@ -241,6 +242,30 @@ class TestDesignWeights:
     def test_reports_failure_as_large_deviation(self):
         _, dev = design_weights(np.eye(3)[:2])
         assert dev > 1e-3
+
+    def test_each_perturbed_simplex_fit_is_one_solve(self, monkeypatch):
+        # a kicked simplex keeps a positive unconstrained fit, so no
+        # active-set step should follow the first solve
+        solves = []
+        for name in ("solve", "lstsq"):
+            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
+                solves.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        fits = []
+        fit = verify.design_weights
+
+        def counted_fit(points):
+            before = len(solves)
+            result = fit(points)
+            fits.append(len(solves) - before)
+            return result
+
+        monkeypatch.setattr(verify, "design_weights", counted_fit)
+        rng = np.random.default_rng(23)
+        for draw in range(100):
+            verify._perturbed_simplex(int(rng.integers(3, 10)), rng)
+        assert len(fits) >= 100 and set(fits) == {1}
 
 
 class TestStateSetJson:

@@ -358,6 +358,8 @@ class TestEmbedding:
         infinite[1, 1, 0] = np.inf
         tilted = tangent.copy()
         tilted[:, 0] = np.ones(d * d) / d
+        unset, endless = tangent.copy(), tangent.copy()
+        unset[0, 0], endless[-1, 0] = np.nan, np.inf
         return [
             (ops[:-1], tangent, "operator basis must have shape"),
             (infinite, tangent, "operator entries must be finite"),
@@ -365,6 +367,8 @@ class TestEmbedding:
             (shifted, tangent, "operator basis must be traceless"),
             (2.0 * ops, tangent, "operator basis must be orthonormal"),
             (ops, tangent[:, :-1], "tangent basis must have shape"),
+            (ops, unset, "tangent basis entries must be finite"),
+            (ops, endless, "tangent basis entries must be finite"),
             (ops, 2.0 * tangent, "tangent basis must be orthonormal"),
             (ops, tilted, "tangent basis must be orthogonal to the all-ones vector"),
         ]

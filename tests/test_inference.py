@@ -667,6 +667,34 @@ class TestRoundTrip:
             assert abs(volume / report.expected_volume_sq - 1.0) <= 1e-12
             assert report.closed_form_gap > 1e-6
 
+    def test_feasible_reads_the_returned_counter_image(self, monkeypatch):
+        # the measurement shrunk toward its center, M' = 0.9 M + 0.1 c u^T with
+        # c = M u / l, keeps its column sums but no longer maps the returned
+        # counter-image onto the cloud
+        solve = verify.ddi_on_ball
+
+        def shrunk(*args):
+            result = solve(*args)
+            matrix = result.measurement.matrix
+            center = matrix.mean(axis=1)
+            return dataclasses.replace(
+                result, measurement=QuasiMeasurement(0.9 * matrix + 0.1 * center[:, None]))
+
+        monkeypatch.setattr(verify, "ddi_on_ball", shrunk)
+        rng = np.random.default_rng(19)
+        for trial in range(5):
+            assert inference_round_trip(random_ic_quasi_measurement(6, 4, rng)).feasible is False
+
+    def test_feasible_agrees_with_the_pseudoinverse_check(self):
+        # the inputs of acceptance check 06
+        rng = np.random.default_rng(606)
+        for n, l in ((4, 3), (6, 4), (8, 5), (10, 6)):
+            for trial in range(25):
+                meas = random_ic_quasi_measurement(n, l, rng)
+                cloud = ProbabilityCloud(meas.matrix.T)
+                expected = feasibility_check(ddi_on_ball(cloud).measurement, cloud, 1e-6)
+                assert inference_round_trip(meas).feasible is expected is True
+
     def test_perturbed_counter_images_cost_volume(self):
         rng = np.random.default_rng(17)
         meas = random_ic_quasi_measurement(5, 3, rng)

@@ -8,7 +8,10 @@ their plane by a tiny step, where every returned result must still
 contain the cloud.  The volume and counter-image that the inference map
 reads off the ellipsoid's root are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
-measurement.  The quantum embedding's cached map is compared with an
+measurement.  The numpy NNLS behind ``design_weights`` is compared
+with SciPy's on unit point sets, where the frame condition may have too
+few points to hold, more points than it has entries, or a weight that
+must be held at 0.  The quantum embedding's cached map is compared with an
 einsum over the operator basis, for every memory layout a caller may
 pass, keeps the Born rule, and refuses operators at twice the tolerance
 from Hermitian or unit trace as the checks written out do.  Examples
@@ -47,6 +50,7 @@ from ddi import (
 )
 from ddi.inference import assemble_result
 
+from ddi.designs import _nnls, design_weights
 from helpers import (
     embed_density_einsum,
     embed_effect_einsum,
@@ -334,3 +338,35 @@ def test_embedding_checks_agree_with_the_written_out_checks(seed, tol):
                             with pytest.raises(DdiError) as info:
                                 embed(op, embedding, tol)
                             assert type(info.value) is expected
+
+
+@pytest.fixture(scope="module")
+def scipy_nnls():
+    return pytest.importorskip("scipy.optimize").nnls
+
+
+@st.composite
+def unit_point_sets(draw):
+    # up to l standard-basis rows give exact designs, where the other rows'
+    # weights must be held at 0; m > l^2 leaves the fit underdetermined
+    l = draw(st.integers(2, 6))
+    m = draw(st.one_of(st.integers(2, l * l), st.integers(l * l + 1, 40)))
+    basis_rows = draw(st.integers(0, min(l, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = np.vstack([np.eye(l)[:basis_rows], rng.standard_normal((m - basis_rows, l))])
+    return points / np.linalg.norm(points, axis=1)[:, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=unit_point_sets())
+def test_nnls_fit_matches_scipy(points, scipy_nnls):
+    m, l = points.shape
+    system = np.einsum("mi,mj->mij", points, points).reshape(m, l * l).T
+    target = (np.eye(l) / l).ravel()
+    weights = _nnls(system, target)
+    assert weights.min() >= 0.0
+    assert abs(np.linalg.norm(system @ weights - target)
+               - scipy_nnls(system, target)[1]) <= 1e-12
+    normalized, deviation = design_weights(points)
+    frame = (points.T * normalized) @ points
+    assert abs(deviation - np.linalg.norm(frame - np.eye(l) / l, 2)) <= 1e-12
