@@ -66,7 +66,6 @@ from .inference import (
     ProbabilityCloud,
     ddi_closed_form,
     ddi_on_ball,
-    ellipsoid_to_measurement,
     mvee,
 )
 
@@ -142,7 +141,6 @@ __all__ = [
     "ddi_closed_form",
     "ddi_on_ball",
     "design_volume_bound_check",
-    "ellipsoid_to_measurement",
     "feasibility_check",
     "inference_round_trip",
     "mvee",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -124,7 +125,7 @@ def cmd_embed(args) -> int:
     payload = _load_json(args.input)
     if not isinstance(payload, list) or not payload:
         raise DdiError("embed expects a nonempty JSON list of operators")
-    operators = [hermitian_from_dict(obj, tol=args.tol) for obj in payload]
+    operators = [hermitian_from_dict(obj) for obj in payload]
     d = operators[0].shape[0]
     if args.dim is not None and args.dim != d:
         raise DdiError(f"operators have dimension {d}, expected {args.dim}")
@@ -201,6 +202,22 @@ def cmd_simulate(args) -> int:
     return code
 
 
+def _tolerance(text: str) -> float:
+    """Type of ``--tol``: a finite float, at least 0."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _gap_target(text: str) -> float:
+    """Type of ``--eps``: a finite float above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddi",
@@ -209,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--tol": dict(type=float, default=1e-9, help="validation tolerance (default 1e-9)"),
-        "--eps": dict(type=float, default=1e-9, help="solver duality gap target (default 1e-9)"),
+        "--tol": dict(type=_tolerance, default=1e-9,
+                      help="validation tolerance, finite and >= 0 (default 1e-9)"),
+        "--eps": dict(type=_gap_target, default=1e-9,
+                      help="solver duality gap target, finite and > 0 (default 1e-9)"),
         "--max-iter": dict(type=int, default=10 ** 6, help="solver iteration cap (default 1e6)"),
         "--seed": dict(type=int, default=0, help="random seed (default 0)"),
     }

@@ -26,17 +26,15 @@ purity, ``|s|^2 = 1/l + alpha^2 * (tr(rho^2) - 1/d)``, not purity
 itself; the two agree exactly at purity one.  For ``d = 2`` the embedded
 state set fills the whole ball, for ``d >= 3`` it is a strict subset.
 
-Both bases of ``T`` are gauge choices.  The defaults below (generalized
+Both bases of ``T`` are gauge choices.  The ones below (generalized
 Gell-Mann operators and a Helmert-style hyperplane basis) are fixed and
-deterministic; any other orthonormal pair gives the same geometry.
-Every embedding checks its pair when it is built, at ``DEFAULT_TOL``,
-whether through :meth:`StateEmbedding.for_dimension` or directly.
-States and effects both go through one real matrix per embedding, built
-once from the two bases and cached.  Its product with an operator read
-as interleaved (re, im) floats gives, in one matmul, ``T`` of the
-operator's traceless part, the operator's trace, and the entries of
-``X - X^H`` that the Hermiticity check reads.  Embeddings in the default
-bases are built once per dimension and shared.
+deterministic; any other orthonormal pair gives the same geometry, so
+the embedding uses this pair only.  States and effects both go through
+one real matrix per dimension, built once from the two bases and
+cached.  Its product with an operator read as interleaved (re, im)
+floats gives, in one matmul, ``T`` of the operator's traceless part, the
+operator's trace, and the entries of ``X - X^H`` that the Hermiticity
+check reads.
 """
 
 from __future__ import annotations
@@ -180,16 +178,6 @@ def _square_operator(a: np.ndarray, d: int) -> np.ndarray:
     return a
 
 
-def _require_hermitian(a: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """Return ``a`` as a C-ordered complex matrix after checking it is Hermitian."""
-    a = _square_operator(a, d)
-    if not np.isfinite(a).all():
-        raise InvalidInputError("operator entries must be finite")
-    if np.abs(a - a.conj().T).max() > tol:
-        raise InvalidInputError("operator is not Hermitian within tolerance")
-    return a
-
-
 def _hilbert_dimension(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
@@ -198,56 +186,34 @@ def _hilbert_dimension(d) -> int:
 
 @dataclass(frozen=True, eq=False)
 class StateEmbedding:
-    """Pairing of operator and vector bases defining the quantum embedding.
+    """Quantum embedding of Hilbert dimension ``d`` in the fixed gauge.
 
-    States and effects both go through one real matrix,
-    :attr:`operator_map`, built from the two bases on first use and
-    cached.  Both bases are validated, copied and made read-only however
-    the embedding is built, so later writes to the caller's arrays reach
-    neither the bases nor the cached map.  Equality and hash go by identity.
+    :meth:`for_dimension` returns one shared instance per ``d``.  States
+    and effects both go through one real matrix, :attr:`operator_map`,
+    built from the two bases on first use and cached.
 
     Attributes
     ----------
     d : int
         Hilbert dimension.
     operator_basis : ndarray, shape (d*d - 1, d, d)
-        Orthonormal traceless Hermitian operators.
+        :func:`traceless_hermitian_basis` of ``d``, read-only.
     tangent_basis : ndarray, shape (d*d, d*d - 1)
-        Orthonormal columns spanning the complement of the all-ones vector.
+        :func:`hyperplane_basis` of ``d*d``, read-only.
     """
 
     d: int
-    operator_basis: np.ndarray
-    tangent_basis: np.ndarray
 
     def __post_init__(self):
-        d = _hilbert_dimension(self.d)
-        l = d * d
-        ops = np.array(self.operator_basis, dtype=complex)
-        if ops.shape != (l - 1, d, d):
-            raise InvalidInputError(f"operator basis must have shape {(l - 1, d, d)}")
-        if not np.isfinite(ops).all():
-            raise InvalidInputError("operator entries must be finite")
-        swapped = ops.transpose(0, 2, 1)
-        if np.abs(ops - swapped.conj()).max() > DEFAULT_TOL:
-            raise InvalidInputError("operator is not Hermitian within tolerance")
-        if np.abs(np.trace(ops, axis1=1, axis2=2)).max() > DEFAULT_TOL:
-            raise InvalidInputError("operator basis must be traceless")
-        gram = ops.reshape(l - 1, l) @ swapped.reshape(l - 1, l).T  # tr(B_a B_b)
-        if np.abs(gram - np.eye(l - 1)).max() > DEFAULT_TOL:
-            raise InvalidInputError("operator basis must be orthonormal")
-        tangent = np.array(self.tangent_basis, dtype=float)
-        if tangent.shape != (l, l - 1):
-            raise InvalidInputError(f"tangent basis must have shape {(l, l - 1)}")
-        if not np.isfinite(tangent).all():
-            raise InvalidInputError("tangent basis entries must be finite")
-        if np.abs(tangent.T @ tangent - np.eye(l - 1)).max() > DEFAULT_TOL:
-            raise InvalidInputError("tangent basis must be orthonormal")
-        if np.abs(tangent.sum(axis=0)).max() > DEFAULT_TOL:
-            raise InvalidInputError("tangent basis must be orthogonal to the all-ones vector")
-        for name, basis in (("operator_basis", ops), ("tangent_basis", tangent)):
-            basis.setflags(write=False)
-            object.__setattr__(self, name, basis)
+        object.__setattr__(self, "d", _hilbert_dimension(self.d))
+
+    @property
+    def operator_basis(self) -> np.ndarray:
+        return traceless_hermitian_basis(self.d)
+
+    @property
+    def tangent_basis(self) -> np.ndarray:
+        return hyperplane_basis(self.l)
 
     @property
     def l(self) -> int:
@@ -295,28 +261,16 @@ class StateEmbedding:
         return rows
 
     @classmethod
-    def for_dimension(cls, d: int, operator_basis: np.ndarray | None = None,
-                      tangent_basis: np.ndarray | None = None) -> "StateEmbedding":
-        """Build the embedding for Hilbert dimension ``d``.
+    def for_dimension(cls, d: int) -> "StateEmbedding":
+        """Return the embedding for Hilbert dimension ``d``.
 
-        With both bases left at their defaults, every call for the same
-        ``d`` returns one shared instance, whose cached map is built once.
-        Custom bases may be supplied to change gauge; they give a new
-        instance, which the constructor validates.
+        Every call for the same ``d`` returns one shared instance, whose
+        cached map is built once.
         """
-        d = _hilbert_dimension(d)
-        if operator_basis is None and tangent_basis is None:
-            return _default_embedding(d)
-        if operator_basis is None:
-            operator_basis = traceless_hermitian_basis(d)
-        if tangent_basis is None:
-            tangent_basis = hyperplane_basis(d * d)
-        return cls(d, operator_basis, tangent_basis)
+        return _shared_embedding(_hilbert_dimension(d))
 
 
-@lru_cache
-def _default_embedding(d: int) -> StateEmbedding:
-    return StateEmbedding(d, traceless_hermitian_basis(d), hyperplane_basis(d * d))
+_shared_embedding = lru_cache(StateEmbedding)
 
 
 def _embed_parts(op: np.ndarray, embedding: StateEmbedding,
@@ -388,8 +342,12 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
     return tangent / embedding.alpha + trace / embedding.d
 
 
-def hermitian_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Parse ``{"d": int, "re": [[...]], "im": [[...]]}`` into a complex matrix."""
+def hermitian_from_dict(obj: dict) -> np.ndarray:
+    """Parse ``{"d": int, "re": [[...]], "im": [[...]]}`` into a complex matrix.
+
+    Only the shape is checked here; embedding the matrix checks that its
+    entries are finite and that it is Hermitian.
+    """
     try:
         d = int(obj["d"])
         re = np.asarray(obj["re"], dtype=float)
@@ -399,7 +357,7 @@ def hermitian_from_dict(obj: dict, tol: float = DEFAULT_TOL) -> np.ndarray:
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvalidInputError(
             f"operator parts must be {d} x {d} matrices, got {re.shape} and {im.shape}")
-    return _require_hermitian(re + 1j * im, d, tol)
+    return re + 1j * im
 
 
 def hermitian_to_dict(a: np.ndarray) -> dict:

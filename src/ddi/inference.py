@@ -58,6 +58,7 @@ live in :mod:`ddi.verify`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,8 +395,8 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         When ``max_iter`` steps do not reach the gap; the exception
         carries the best ellipsoid found and the achieved gap.
     """
-    if eps <= 0.0:
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInputError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
     d = cloud.span_dim - 1
@@ -420,85 +421,6 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
             f"gap {gap} after {iterations} iterations (target {eps})",
             partial=ellipsoid, achieved_gap=float(gap), iterations=int(iterations))
     return ellipsoid
-
-
-def _assemble(ellipsoid: Ellipsoid, cloud: ProbabilityCloud, containment_tol: float):
-    """Measurement, squared range volume and counter-image of the cloud, from ``root``.
-
-    With ``c`` the center, ``C`` the chart, ``T = hyperplane_basis(l)``,
-    ``r`` the ball radius, ``c_par = C^T c`` and ``c_perp = c - C c_par``,
-    the measurement is ``M = c u^T + C root T^T / r``.  For the orthogonal
-    ``Q = [u / sqrt(l), T]``, ``M Q = [c_perp / |c_perp|, C] K`` with
-
-        K = [[sqrt(l) |c_perp|, 0], [sqrt(l) c_par, root / r]],
-
-    an ``l x l`` block lower triangular matrix behind a factor with
-    orthonormal columns.  So ``M`` shares its singular values with ``K``,
-    and ``M^+ p = Q K^-1 [c_perp / |c_perp|, C]^T p`` is read off the
-    whitened offsets ``w = root^-1 C^T (p - c)`` that the containment
-    check solves for: with ``t = c_perp . (p - c) / |c_perp|^2``,
-
-        M^+ p = (1 + t) u / l + r T (w - t root^-1 c_par),
-
-    which never forms the large entries of ``M^+`` of an almost flat
-    cloud.  No decomposition of ``M`` is taken.
-    """
-    l = cloud.span_dim
-    chart, center, root = ellipsoid.chart, ellipsoid.center, ellipsoid.root
-    if chart.shape != (cloud.n, l - 1):
-        raise InvalidInputError("ellipsoid chart does not match the cloud")
-    offsets = cloud.points - center
-    along = chart.T @ center
-    normal = center - chart @ along
-    # one solve for the whitened offsets and root^-1 c_par
-    solved = np.linalg.solve(root, np.column_stack([(offsets @ chart).T, along]))
-    white, lift = solved[:, :-1], solved[:, -1]
-    # light containment check, tolerant of the solver's eps-level slack
-    quad = np.einsum("ij,ij->j", white, white)
-    if quad.max() > 1.0 + containment_tol:
-        raise InvalidInputError(
-            f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
-    radius = ball_radius(l)
-    normal_sq = float(normal @ normal)
-    k = np.zeros((l, l))
-    k[0, 0] = np.sqrt(l * normal_sq)
-    k[1:, 0] = np.sqrt(l) * along
-    k[1:, 1:] = root / radius
-    sv = np.linalg.svd(k, compute_uv=False)
-    if sv[-1] <= DEFAULT_TOL * sv[0]:
-        raise DegenerateRangeError("measurement range is rank deficient")
-    basis = hyperplane_basis(l)
-    matrix = np.outer(center, np.ones(l)) + chart @ root @ basis.T / radius
-    # full rank, so the normalization identity says every column sums to 1
-    residual = float(np.linalg.norm(matrix.sum(axis=0) - 1.0))
-    if residual > DEFAULT_TOL:
-        raise NotAQuasiMeasurementError(
-            f"normalization identity fails with residual {residual}", residual=residual)
-    t = offsets @ normal / normal_sq
-    counter = ((1.0 + t) / l)[:, None] + radius * (white.T - t[:, None] * lift) @ basis.T
-    return QuasiMeasurement(matrix=matrix), float(np.prod(sv * sv)), counter
-
-
-def ellipsoid_to_measurement(ellipsoid: Ellipsoid, cloud: ProbabilityCloud) -> QuasiMeasurement:
-    """Canonical quasi-measurement whose range is the given ellipsoid.
-
-    Maps the ball center ``u/l`` to the ellipsoid center and the tangent
-    space of the ball onto the ellipsoid through its symmetric positive
-    ``root``, divided by the ball radius.  The result is informationally
-    complete and satisfies the normalization identity by construction; it
-    is the gauge-fixed representative of its orbit.  Its rank is decided,
-    and :func:`assemble_result` takes the volume and the counter-image,
-    from ``root`` through an ``l x l`` factor ``K`` of the measurement, so
-    no decomposition of the measurement is taken; :func:`validate`,
-    :func:`range_volume_sq` and :func:`pseudoinverse` are the independent
-    oracles the tests compare them with.
-
-    Raises :class:`InvalidInputError` when the ellipsoid does not enclose
-    the cloud (a quadratic above ``1 + 1e-6``), :class:`DegenerateRangeError`
-    when the measurement is rank deficient relative to ``DEFAULT_TOL`` and
-    :class:`NotAQuasiMeasurementError` when a column sum misses 1.
-    """
-    return _assemble(ellipsoid, cloud, _CONTAINMENT_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -529,6 +451,34 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
                     design_tol: float = 1e-7) -> DdiResult:
     """Turn an enclosing ellipsoid into a full inference result.
 
+    The measurement is the canonical quasi-measurement whose range is the
+    ellipsoid: it maps the ball center ``u/l`` to the ellipsoid center and
+    the tangent space of the ball onto the ellipsoid through its symmetric
+    positive ``root``, divided by the ball radius.  It is informationally
+    complete, satisfies the normalization identity by construction and is
+    the gauge-fixed representative of its orbit.
+
+    With ``c`` the center, ``C`` the chart, ``T = hyperplane_basis(l)``,
+    ``r`` the ball radius, ``c_par = C^T c`` and ``c_perp = c - C c_par``,
+    the measurement is ``M = c u^T + C root T^T / r``.  For the orthogonal
+    ``Q = [u / sqrt(l), T]``, ``M Q = [c_perp / |c_perp|, C] K`` with
+
+        K = [[sqrt(l) |c_perp|, 0], [sqrt(l) c_par, root / r]],
+
+    an ``l x l`` block lower triangular matrix behind a factor with
+    orthonormal columns.  So ``M`` shares its singular values with ``K``,
+    which give the rank test and ``volume_sq``, and ``M^+ p = Q K^-1
+    [c_perp / |c_perp|, C]^T p`` is read off the whitened offsets
+    ``w = root^-1 C^T (p - c)`` that the containment check solves for:
+    with ``t = c_perp . (p - c) / |c_perp|^2``,
+
+        M^+ p = (1 + t) u / l + r T (w - t root^-1 c_par),
+
+    which never forms the large entries of ``M^+`` of an almost flat
+    cloud.  No decomposition of ``M`` is taken; :func:`validate`,
+    :func:`range_volume_sq` and :func:`pseudoinverse` are the independent
+    oracles the tests compare these with.
+
     The counter-image carries the solver's dual weights
     ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid
     root is built from those weights, so their frame operator is
@@ -537,23 +487,58 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     when every point is also on the sphere, that is, when the optimum is
     tight.
 
-    The measurement, ``volume_sq`` and the counter-image all come from
-    ``root``, as :func:`ellipsoid_to_measurement` describes.
-
     Used by :func:`ddi_on_ball` on converged ellipsoids and by callers
     that want to salvage the partial ellipsoid of a
     :class:`NoConvergenceError`.
+
+    Raises :class:`InvalidInputError` when the ellipsoid does not enclose
+    the cloud (a quadratic above ``1 + 1e-6``, or ``1 + 4 * gap`` when the
+    ellipsoid's duality gap is larger), :class:`DegenerateRangeError` when
+    the measurement is rank deficient relative to ``DEFAULT_TOL`` and
+    :class:`NotAQuasiMeasurementError` when a column sum misses 1.
     """
     # a partial ellipsoid encloses the cloud only up to its duality gap
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
     slack = max(_CONTAINMENT_TOL, 4.0 * ellipsoid.optimality_gap)
-    meas, volume, points = _assemble(ellipsoid, cloud, slack)
-    counter = WeightedStateSet(points=points, weights=ellipsoid.support_weights)
+    l = cloud.span_dim
+    chart, center, root = ellipsoid.chart, ellipsoid.center, ellipsoid.root
+    if chart.shape != (cloud.n, l - 1):
+        raise InvalidInputError("ellipsoid chart does not match the cloud")
+    offsets = cloud.points - center
+    along = chart.T @ center
+    normal = center - chart @ along
+    # one solve for the whitened offsets and root^-1 c_par
+    solved = np.linalg.solve(root, np.column_stack([(offsets @ chart).T, along]))
+    white, lift = solved[:, :-1], solved[:, -1]
+    # light containment check, tolerant of the solver's eps-level slack
+    quad = np.einsum("ij,ij->j", white, white)
+    if quad.max() > 1.0 + slack:
+        raise InvalidInputError(
+            f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
+    radius = ball_radius(l)
+    normal_sq = float(normal @ normal)
+    k = np.zeros((l, l))
+    k[0, 0] = np.sqrt(l * normal_sq)
+    k[1:, 0] = np.sqrt(l) * along
+    k[1:, 1:] = root / radius
+    sv = np.linalg.svd(k, compute_uv=False)
+    if sv[-1] <= DEFAULT_TOL * sv[0]:
+        raise DegenerateRangeError("measurement range is rank deficient")
+    basis = hyperplane_basis(l)
+    matrix = np.outer(center, np.ones(l)) + chart @ root @ basis.T / radius
+    # full rank, so the normalization identity says every column sums to 1
+    residual = float(np.linalg.norm(matrix.sum(axis=0) - 1.0))
+    if residual > DEFAULT_TOL:
+        raise NotAQuasiMeasurementError(
+            f"normalization identity fails with residual {residual}", residual=residual)
+    t = offsets @ normal / normal_sq
+    counter = ((1.0 + t) / l)[:, None] + radius * (white.T - t[:, None] * lift) @ basis.T
+    counter_image = WeightedStateSet(points=counter, weights=ellipsoid.support_weights)
     return DdiResult(
-        measurement=meas,
-        volume_sq=volume,
-        counter_image=counter,
-        design_certificate=certify_design(counter, design_tol),
+        measurement=QuasiMeasurement(matrix=matrix),
+        volume_sq=float(np.prod(sv * sv)),
+        counter_image=counter_image,
+        design_certificate=certify_design(counter_image, design_tol),
         gauge_note=GAUGE_NOTE,
         optimality_gap=ellipsoid.optimality_gap,
         iterations=ellipsoid.iterations,

@@ -21,9 +21,9 @@ from .errors import (
 from .geometry import DEFAULT_TOL, ball_membership, ball_radius, hyperplane_basis
 from .designs import DesignCertificate, WeightedStateSet, design_weights, is_two_design
 from .inference import ProbabilityCloud, ddi_on_ball
-from .measurements import QuasiMeasurement, is_informationally_complete, range_volume_sq, validate
+from .measurements import (QuasiMeasurement, det_factorization_check, is_informationally_complete,
+                           range_volume_sq, validate)
 
-_DET_RTOL = 1e-8
 _PERTURBATION_SCALE = 0.1
 _MIN_DESIGN_DEVIATION = 1e-3
 
@@ -191,9 +191,7 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
         forward = validate(meas.matrix @ inner.matrix)
         if not feasibility_check(forward, cloud, 1e-8):
             return False
-        lhs = range_volume_sq(forward)
-        rhs = range_volume_sq(meas) * range_volume_sq(inner)
-        if abs(lhs - rhs) > _DET_RTOL * abs(rhs):
+        if not det_factorization_check(meas, inner):
             return False
         outer = sample_enclosing_measurement(cloud, rng)
         backward = validate(pinv @ outer.matrix)

@@ -6,6 +6,8 @@ oracle is a direct parameter search, so tests compare two routes to the
 same quantity.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -48,6 +50,18 @@ def embed_effect_einsum(effect, embedding):
     coeffs = np.einsum("kij,ji->k", embedding.operator_basis, effect).real
     l = embedding.l
     return (trace / embedding.d) * np.ones(l) + (embedding.tangent_basis @ coeffs) / embedding.alpha
+
+
+def turned_gauge(embedding, turn):
+    """``embedding``'s ``d``, ``l`` and ``alpha`` with both bases turned by the orthogonal ``turn``.
+
+    The einsum references accept the result in place of an embedding, so
+    they embed in a gauge other than the package's fixed one.
+    """
+    return SimpleNamespace(
+        d=embedding.d, l=embedding.l, alpha=embedding.alpha,
+        operator_basis=np.einsum("kj,jab->kab", turn, embedding.operator_basis),
+        tangent_basis=embedding.tangent_basis @ turn)
 
 
 def embedding_rejection(op, tol, unit_trace):

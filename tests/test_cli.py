@@ -321,6 +321,18 @@ class TestUsageAndOutputErrors:
         assert main(argv) == EXIT_OK
         assert "ddi" in capsys.readouterr().out
 
+    @staticmethod
+    def valid_inputs(tmp_path):
+        """Positional arguments on which each command exits 0."""
+        return {
+            "infer": [write_json(tmp_path / "cloud.json", HALVES_CLOUD)],
+            "verify-design": [write_json(tmp_path / "states.json", {
+                "l": 3, "points": np.eye(3).tolist(), "weights": [1 / 3] * 3})],
+            "embed": [write_json(tmp_path / "ops.json", [
+                {"d": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}])],
+            "simulate": ["4", "3", "1"],
+        }
+
     @pytest.mark.parametrize("command, flag, value", [
         ("infer", "--seed", "1"),
         ("verify-design", "--seed", "1"),
@@ -333,19 +345,32 @@ class TestUsageAndOutputErrors:
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, capsys,
                                                         command, flag, value):
-        inputs = {
-            "infer": [write_json(tmp_path / "cloud.json", HALVES_CLOUD)],
-            "verify-design": [write_json(tmp_path / "states.json", {
-                "l": 3, "points": np.eye(3).tolist(), "weights": [1 / 3] * 3})],
-            "embed": [write_json(tmp_path / "ops.json", [
-                {"d": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}])],
-            "simulate": ["4", "3", "1"],
-        }
         out = tmp_path / "out"
-        argv = [command, *inputs[command], "--output", str(out)]
+        argv = [command, *self.valid_inputs(tmp_path)[command], "--output", str(out)]
         assert main(argv) == EXIT_OK
         assert main([*argv, flag, value]) == EXIT_INVALID_INPUT
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("infer", "--tol", "nan"),
+        ("infer", "--tol", "-1e-9"),
+        ("infer", "--eps", "inf"),
+        ("infer", "--eps", "nan"),
+        ("infer", "--eps", "0"),
+        ("verify-design", "--tol", "inf"),
+        ("embed", "--tol", "nan"),
+        ("embed", "--tol", "1e400"),
+        ("simulate", "--eps", "-inf"),
+    ])
+    def test_tolerances_outside_their_range_are_usage_errors(self, tmp_path, capsys,
+                                                              command, flag, value):
+        # --tol must be finite and >= 0, --eps finite and > 0
+        out = tmp_path / "out"
+        argv = [command, *self.valid_inputs(tmp_path)[command], f"{flag}={value}",
+                "--output", str(out)]
+        assert main(argv) == EXIT_INVALID_INPUT
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_is_invalid_input(self, tmp_path, capsys):
         inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)

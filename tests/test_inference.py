@@ -20,7 +20,6 @@ from ddi import (
     ddi_closed_form,
     ddi_on_ball,
     design_volume_bound_check,
-    ellipsoid_to_measurement,
     embed_density,
     feasibility_check,
     hyperplane_basis,
@@ -382,6 +381,12 @@ class TestMvee:
         with pytest.raises(InvalidInputError):
             mvee(cloud, max_iter=0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        # a nan target is never met and an infinite one is met before any step
+        with pytest.raises(InvalidInputError, match="eps"):
+            mvee(dirichlet_cloud(12, 4, 1), eps=eps, max_iter=50)
+
     def test_asymmetric_shape_rejected(self):
         with pytest.raises(InvalidInputError):
             Ellipsoid(center=np.zeros(3), root=np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -400,7 +405,7 @@ class TestEllipsoidToMeasurement:
     def test_ball_maps_to_identity(self):
         for l in (2, 3, 4, 6):
             cloud = ProbabilityCloud(np.eye(l))
-            meas = ellipsoid_to_measurement(mvee(cloud), cloud)
+            meas = assemble_result(mvee(cloud), cloud).measurement
             np.testing.assert_allclose(meas.matrix, np.eye(l), atol=1e-12)
 
     def test_tangent_block_is_symmetric_positive(self):
@@ -408,7 +413,7 @@ class TestEllipsoidToMeasurement:
         for trial in range(10):
             cloud = random_cloud(12, 4, rng)
             e = mvee(cloud)
-            meas = ellipsoid_to_measurement(e, cloud)
+            meas = assemble_result(e, cloud).measurement
             block = e.chart.T @ meas.matrix @ hyperplane_basis(cloud.span_dim)
             np.testing.assert_allclose(block, block.T, atol=1e-10)
             assert np.linalg.eigvalsh(block)[0] > 0.0
@@ -425,7 +430,7 @@ class TestEllipsoidToMeasurement:
                              rng.dirichlet(np.ones(l), 4)]) @ m0.matrix.T
             cloud = ProbabilityCloud(pts)
             e = mvee(cloud)
-            meas = ellipsoid_to_measurement(e, cloud)
+            meas = assemble_result(e, cloud).measurement
             h_sq = float(e.center @ (e.center - e.chart @ (e.chart.T @ e.center)))
             expected = (cloud.span_dim * h_sq * np.linalg.det(e.shape)
                         / ball_radius(cloud.span_dim) ** (2 * (cloud.span_dim - 1)))
@@ -438,7 +443,7 @@ class TestEllipsoidToMeasurement:
                           support_weights=e.support_weights,
                           optimality_gap=e.optimality_gap, iterations=e.iterations)
         with pytest.raises(InvalidInputError):
-            ellipsoid_to_measurement(small, cloud)
+            assemble_result(small, cloud)
 
 
 class TestDdiOnBall:

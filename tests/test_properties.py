@@ -13,8 +13,9 @@ with SciPy's on unit point sets, where the frame condition may have too
 few points to hold, more points than it has entries, or a weight that
 must be held at 0.  The quantum embedding's cached map is compared with an
 einsum over the operator basis, for every memory layout a caller may
-pass, keeps the Born rule, and refuses operators at twice the tolerance
-from Hermitian or unit trace as the checks written out do.  Examples
+pass, keeps the Born rule, as the einsum does in a randomly turned
+gauge, and refuses operators at twice the tolerance from Hermitian or
+unit trace as the checks written out do.  Examples
 are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
@@ -38,7 +39,6 @@ from ddi import (
     ProbabilityCloud,
     StateEmbedding,
     ddi_on_ball,
-    ellipsoid_to_measurement,
     embed_density,
     embed_effect,
     hyperplane_basis,
@@ -59,6 +59,7 @@ from helpers import (
     random_density,
     random_hermitian,
     random_pure_density,
+    turned_gauge,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -214,8 +215,6 @@ def test_center_off_the_hyperplane_is_rejected():
                       support_weights=e.support_weights,
                       optimality_gap=e.optimality_gap, iterations=e.iterations)
     with pytest.raises(NotAQuasiMeasurementError):
-        ellipsoid_to_measurement(moved, cloud)
-    with pytest.raises(NotAQuasiMeasurementError):
         assemble_result(moved, cloud)
 
 
@@ -243,16 +242,15 @@ def test_indefinite_root_is_rejected():
 
 @st.composite
 def embedded_operators(draw):
-    # an embedding in the default or a random gauge, a unit-trace Hermitian
-    # matrix (pure, mixed or a non-positive quasi-state) and a Hermitian effect
+    # the embedding, the gauge the einsum references embed in (the package's
+    # or a randomly turned one), a unit-trace Hermitian matrix (pure, mixed
+    # or a non-positive quasi-state) and a Hermitian effect
     d = draw(st.sampled_from((2, 3, 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    embedding = StateEmbedding.for_dimension(d)
+    embedding = gauge = StateEmbedding.for_dimension(d)
     if draw(st.booleans()):
         turn = np.linalg.qr(rng.standard_normal((d * d - 1, d * d - 1)))[0]
-        embedding = StateEmbedding.for_dimension(
-            d, operator_basis=np.einsum("kj,jab->kab", turn, embedding.operator_basis),
-            tangent_basis=embedding.tangent_basis @ turn)
+        gauge = turned_gauge(embedding, turn)
     kind = draw(st.sampled_from(["pure", "mixed", "quasi"]))
     if kind == "pure":
         rho = random_pure_density(d, rng)
@@ -261,7 +259,7 @@ def embedded_operators(draw):
     else:
         h = random_hermitian(d, rng)
         rho = h + (1.0 - np.trace(h).real) / d * np.eye(d)
-    return embedding, rho, random_hermitian(d, rng)
+    return embedding, gauge, rho, random_hermitian(d, rng)
 
 
 def memory_layouts(a):
@@ -275,7 +273,7 @@ def memory_layouts(a):
 @PROPERTY
 @given(case=embedded_operators())
 def test_embedding_matches_the_einsum_reference(case):
-    embedding, rho, effect = case
+    embedding, _, rho, effect = case
     for state in memory_layouts(rho):
         np.testing.assert_allclose(embed_density(state, embedding),
                                    embed_density_einsum(state, embedding), rtol=0.0, atol=1e-14)
@@ -287,9 +285,12 @@ def test_embedding_matches_the_einsum_reference(case):
 @PROPERTY
 @given(case=embedded_operators())
 def test_embedding_keeps_the_born_rule(case):
-    embedding, rho, effect = case
+    embedding, gauge, rho, effect = case
+    expected = float(np.trace(effect @ rho).real)
     probability = float(embed_effect(effect, embedding) @ embed_density(rho, embedding))
-    assert probability == pytest.approx(float(np.trace(effect @ rho).real), abs=1e-12)
+    assert probability == pytest.approx(expected, abs=1e-12)
+    turned = float(embed_effect_einsum(effect, gauge) @ embed_density_einsum(rho, gauge))
+    assert turned == pytest.approx(expected, abs=1e-12)
 
 
 def nudged_operator(d, kind, size, rng):
