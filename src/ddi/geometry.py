@@ -31,10 +31,12 @@ Gell-Mann operators and a Helmert-style hyperplane basis) are fixed and
 deterministic; any other orthonormal pair gives the same geometry, so
 the embedding uses this pair only.  States and effects both go through
 one real matrix per dimension, built once from the two bases and
-cached.  Its product with an operator read as interleaved (re, im)
-floats gives, in one matmul, ``T`` of the operator's traceless part, the
-operator's trace, and the entries of ``X - X^H`` that the Hermiticity
-check reads.
+cached, with ``alpha`` folded into its ``T`` rows.  Its product with an
+operator read as interleaved (re, im) floats gives, in one matmul,
+``alpha * T`` of the operator's traceless part, the operator's trace,
+and the entries of ``X - X^H`` that the Hermiticity check reads.  A
+state is then that first part plus ``u/l``, and an effect that part
+times ``1/alpha^2 = d/(d+1)`` plus ``(tr(E)/d) * u``.
 """
 
 from __future__ import annotations
@@ -168,16 +170,6 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _square_operator(a: np.ndarray, d: int) -> np.ndarray:
-    """Return ``a`` as a C-ordered complex matrix after checking its shape."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError("operator must be a square matrix")
-    if a.shape[0] != d:
-        raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
-    return a
-
-
 def _hilbert_dimension(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
@@ -231,10 +223,11 @@ class StateEmbedding:
         interleaved (re, im) floats.  The product ``operator_map @ x``
         holds, in order:
 
-        - ``T(X) = tangent_basis @ [Re tr(B_k X)]_k`` over the operator
-          basis ``B_k`` (the first ``l`` rows).  Row ``k`` of the
-          operator part is ``conj(B_k).T`` read the same way, since
-          ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``;
+        - ``alpha * T(X) = alpha * tangent_basis @ [Re tr(B_k X)]_k``
+          over the operator basis ``B_k`` (the first ``l`` rows), with
+          the scale folded into the map so that no call multiplies by
+          it.  Row ``k`` of the operator part is ``conj(B_k).T`` read the
+          same way, since ``Re tr(B X) = sum Re(B.T) Re(X) - Im(B.T) Im(X)``;
         - ``Re tr X`` and ``Im tr X``;
         - ``(X - X^H)[i, j]`` for ``i <= j`` as (re, im) pairs.  Each
           row holds two coefficients of +-1 (on the diagonal, a 2 for
@@ -246,7 +239,7 @@ class StateEmbedding:
         pairing = self.operator_basis.transpose(0, 2, 1).conj()
         pairing = np.ascontiguousarray(pairing, dtype=complex).view(float)
         rows = np.zeros((l + 2 + d * (d + 1), 2 * l))
-        rows[:l] = self.tangent_basis @ pairing.reshape(l - 1, 2 * l)
+        rows[:l] = self.alpha * (self.tangent_basis @ pairing.reshape(l - 1, 2 * l))
         diagonal = 2 * (d + 1) * np.arange(d)
         rows[l, diagonal] = 1.0
         rows[l + 1, diagonal + 1] = 1.0
@@ -273,32 +266,37 @@ class StateEmbedding:
 _shared_embedding = lru_cache(StateEmbedding)
 
 
-def _embed_parts(op: np.ndarray, embedding: StateEmbedding,
-                 tol: float) -> tuple[np.ndarray, float, float]:
-    """Check a Hermitian operator ``X``; return ``T(X)``, ``Re tr X``, ``Im tr X``.
+def _embed_parts(op: np.ndarray, embedding: StateEmbedding, tol: float) -> np.ndarray:
+    """Check a Hermitian operator ``X``; return ``operator_map @ X``.
 
-    One product with :attr:`StateEmbedding.operator_map` gives the map,
-    the trace and the Hermiticity deviation.  Its entries must be finite
-    before it runs, or ``0 * inf`` in the product would warn.  ``vdot``
-    is the screen because, unlike ``dot`` and ``matmul``, it does not
-    warn when the sum of squares of large finite entries overflows; only
-    then, or with a non-finite entry, does ``isfinite`` have to look.
+    The first ``l`` entries of the result are ``alpha * T(X)``, the next
+    two ``Re tr X`` and ``Im tr X``.  One product with
+    :attr:`StateEmbedding.operator_map` gives the map, the trace and the
+    Hermiticity deviation.  Its entries must be finite before it runs,
+    or ``0 * inf`` in the product would warn.  ``vdot`` is the screen
+    because, unlike ``dot`` and ``matmul``, it does not warn when the sum
+    of squares of large finite entries overflows; only then, or with a
+    non-finite entry, does ``isfinite`` have to look.
     """
-    a = _square_operator(op, embedding.d)
+    d = embedding.d
+    a = np.ascontiguousarray(op, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInputError("operator must be a square matrix")
+    if a.shape[0] != d:
+        raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
     x = a.view(float).ravel()
     if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         raise InvalidInputError("operator entries must be finite")
     y = embedding.operator_map @ x
-    l = embedding.l
-    deviation = y[l + 2:]
+    deviation = y[d * d + 2:]
     # Every modulus is within tol when the squares sum to at most
     # (tol/2)^2, so each is taken only when they do not.  Below 1e-150 the
-    # squares could underflow, so such a tol (or one not positive) always
-    # takes each modulus.
+    # squares could underflow, so such a tol (or one not positive, or NaN)
+    # always takes each modulus, and a NaN tol fails that comparison.
     if not (tol >= 1e-150 and np.vdot(deviation, deviation) <= 0.25 * tol * tol):
-        if np.hypot(deviation[0::2], deviation[1::2]).max() > tol:
+        if not np.hypot(deviation[0::2], deviation[1::2]).max() <= tol:
             raise InvalidInputError("operator is not Hermitian within tolerance")
-    return y[:l], float(y[l]), float(y[l + 1])
+    return y
 
 
 def embed_density(rho: np.ndarray, embedding: StateEmbedding,
@@ -313,7 +311,8 @@ def embed_density(rho: np.ndarray, embedding: StateEmbedding,
     embedding : StateEmbedding
         Basis pairing returned by :meth:`StateEmbedding.for_dimension`.
     tol : float
-        Absolute tolerance for the Hermiticity and trace checks.
+        Absolute tolerance for the Hermiticity and trace checks.  A NaN
+        tolerance passes neither.
 
     Returns
     -------
@@ -321,11 +320,13 @@ def embed_density(rho: np.ndarray, embedding: StateEmbedding,
         Vector on the state hyperplane; unit norm exactly when ``rho``
         is pure.
     """
-    tangent, trace_re, trace_im = _embed_parts(rho, embedding, tol)
-    if math.hypot(trace_re - 1.0, trace_im) > tol:
+    y = _embed_parts(rho, embedding, tol)
+    l = embedding.d * embedding.d
+    trace_re, trace_im = float(y[l]), float(y[l + 1])
+    if not math.hypot(trace_re - 1.0, trace_im) <= tol:
         raise NotNormalizedError(
             f"density matrix must have unit trace, got {complex(trace_re, trace_im)}")
-    return embedding.alpha * tangent + 1.0 / embedding.l
+    return y[:l] + 1.0 / l
 
 
 def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
@@ -338,15 +339,18 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
     Operators outside ``0 <= E <= eye(d)`` are accepted; only
     Hermiticity is required.
     """
-    tangent, trace, _ = _embed_parts(effect, embedding, tol)
-    return tangent / embedding.alpha + trace / embedding.d
+    y = _embed_parts(effect, embedding, tol)
+    d = embedding.d
+    l = d * d
+    return y[:l] * (d / (d + 1.0)) + float(y[l]) / d
 
 
 def hermitian_from_dict(obj: dict) -> np.ndarray:
     """Parse ``{"d": int, "re": [[...]], "im": [[...]]}`` into a complex matrix.
 
     Only the shape is checked here; embedding the matrix checks that its
-    entries are finite and that it is Hermitian.
+    entries are finite and that it is Hermitian.  The two parts are set
+    directly, since ``1j * inf`` would be ``nan + inf j`` and warn.
     """
     try:
         d = int(obj["d"])
@@ -357,7 +361,9 @@ def hermitian_from_dict(obj: dict) -> np.ndarray:
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvalidInputError(
             f"operator parts must be {d} x {d} matrices, got {re.shape} and {im.shape}")
-    return re + 1j * im
+    a = np.empty((d, d), dtype=complex)
+    a.real, a.imag = re, im
+    return a
 
 
 def hermitian_to_dict(a: np.ndarray) -> dict:

@@ -97,7 +97,7 @@ class ProbabilityCloud:
         One distribution per row, each summing to 1 within ``sum_tol``.
         Entries may be negative (quasi-probabilities are allowed).
     sum_tol : float
-        Absolute tolerance on the row sums.
+        Absolute tolerance on the row sums; a NaN tolerance accepts no row.
 
     Attributes
     ----------
@@ -119,7 +119,7 @@ class ProbabilityCloud:
             raise InvalidInputError("cloud entries must be finite")
         sums = points.sum(axis=1)
         worst = float(np.abs(sums - 1.0).max())
-        if worst > sum_tol:
+        if not worst <= sum_tol:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
         self.points = points.copy()

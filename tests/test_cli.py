@@ -251,6 +251,17 @@ class TestEmbed:
         assert main(["embed", inp, "--dim", "3"]) == EXIT_INVALID_INPUT
         assert "dimension" in capsys.readouterr().err
 
+    def test_infinite_imaginary_part_is_refused_without_a_warning(self, tmp_path):
+        # 1j * inf is nan + inf j, and forming it would print a RuntimeWarning
+        inp = tmp_path / "ops.json"
+        inp.write_text('[{"d": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, Infinity], [0, 0]]}]',
+                       encoding="utf-8")
+        run = subprocess.run([sys.executable, "-m", "ddi.cli", "embed", str(inp)],
+                             capture_output=True, text=True)
+        assert run.returncode == EXIT_INVALID_INPUT
+        assert run.stdout == ""
+        assert run.stderr == "error: operator entries must be finite\n"
+
 
 class TestSimulate:
     def test_report_shape_and_summary(self, tmp_path):

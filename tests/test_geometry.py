@@ -296,8 +296,11 @@ class TestEmbedding:
         with pytest.raises(InvalidInputError, match="Hermitian"):
             embed(op, emb, tol=1e-180)
         embed(op, emb, tol=1e-160)
-        with pytest.raises(InvalidInputError, match="Hermitian"):
-            embed(np.eye(2) / 2, emb, tol=-1.0)
+        # neither a negative nor a NaN tolerance passes any operator
+        for tol in (-1.0, float("nan")):
+            for op in (np.eye(2) / 2, np.array([[0.9, 1.0], [0.0, 0.4]])):
+                with pytest.raises(InvalidInputError, match="Hermitian"):
+                    embed(op, emb, tol=tol)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_default_embedding_is_shared_per_dimension(self, d):

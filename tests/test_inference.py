@@ -101,6 +101,10 @@ class TestProbabilityCloud:
     def test_rejects_bad_row_sum(self):
         with pytest.raises(InvalidInputError):
             ProbabilityCloud(np.array([[0.5, 0.6], [0.5, 0.5]]))
+        # a NaN tolerance accepts no row, not the row summing to 1.2
+        for points in ([[0.6, 0.6], [1.0, 0.0], [0.0, 1.0]], np.eye(3)):
+            with pytest.raises(InvalidInputError, match="sum to 1"):
+                ProbabilityCloud(np.array(points), sum_tol=float("nan"))
 
     def test_rejects_rank_one(self):
         with pytest.raises(DegenerateInputError):

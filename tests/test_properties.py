@@ -12,8 +12,9 @@ measurement.  The numpy NNLS behind ``design_weights`` is compared
 with SciPy's on unit point sets, where the frame condition may have too
 few points to hold, more points than it has entries, or a weight that
 must be held at 0.  The quantum embedding's cached map is compared with an
-einsum over the operator basis, for every memory layout a caller may
-pass, keeps the Born rule, as the einsum does in a randomly turned
+einsum over the operator basis for d = 2..4, for every memory layout a
+caller may pass, with entries near 1e300 and at tolerances below
+1e-150; it keeps the Born rule, as the einsum does in a randomly turned
 gauge, and refuses operators at twice the tolerance from Hermitian or
 unit trace as the checks written out do.  Examples
 are derandomized and no example database is
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ddi import (
+    DEFAULT_TOL,
     DdiError,
     DegenerateRangeError,
     Ellipsoid,
@@ -270,16 +272,46 @@ def memory_layouts(a):
     return [np.ascontiguousarray(a), np.asfortranarray(a), big[::2, ::2], a.real.copy()]
 
 
+def exactly_hermitian(op, scale, diagonal):
+    # the strict upper triangle of op times scale, mirrored so that X - X^H
+    # is exactly 0, on the real ``diagonal``
+    upper = scale * np.triu(op, 1)
+    return upper + upper.conj().T + np.diag(diagonal)
+
+
 @PROPERTY
 @given(case=embedded_operators())
 def test_embedding_matches_the_einsum_reference(case):
+    # the drawn operators at the default tolerance; then the same operators
+    # made exactly Hermitian (the state on a diagonal of 1/d, so its trace
+    # is exactly 1), with entries near 1e300, whose sum of squares
+    # overflows, and at a tolerance whose square underflows.  Each must
+    # agree with the reference to 1e-14 times the operator's scale.
     embedding, _, rho, effect = case
-    for state in memory_layouts(rho):
-        np.testing.assert_allclose(embed_density(state, embedding),
-                                   embed_density_einsum(state, embedding), rtol=0.0, atol=1e-14)
-    for op in memory_layouts(effect):
-        np.testing.assert_allclose(embed_effect(op, embedding),
-                                   embed_effect_einsum(op, embedding), rtol=0.0, atol=1e-14)
+    d = embedding.d
+    cases = [(rho, effect, DEFAULT_TOL, 1.0)]
+    for scale, tol in ((1.0, 1e-170), (1e300, DEFAULT_TOL), (1e300, 1e-170)):
+        cases.append((exactly_hermitian(rho, scale, np.full(d, 1.0 / d)),
+                      exactly_hermitian(effect, scale, scale * effect.diagonal().real),
+                      tol, scale))
+    for state, op, tol, scale in cases:
+        for embed, reference, operator in ((embed_density, embed_density_einsum, state),
+                                           (embed_effect, embed_effect_einsum, op)):
+            for layout in memory_layouts(operator):
+                np.testing.assert_allclose(embed(layout, embedding, tol),
+                                           reference(layout, embedding),
+                                           rtol=0.0, atol=1e-14 * scale)
+            if tol < 1e-150:
+                # (X - X^H)[0, 0] = 2i Im X[0, 0]: half the tolerance passes,
+                # twice it does not, though its square is 0
+                nudged = operator.astype(complex)
+                nudged[0, 0] += 0.25j * tol
+                np.testing.assert_allclose(embed(nudged, embedding, tol),
+                                           reference(nudged, embedding),
+                                           rtol=0.0, atol=1e-14 * scale)
+                nudged[0, 0] += 0.75j * tol
+                with pytest.raises(InvalidInputError, match="Hermitian"):
+                    embed(nudged, embedding, tol)
 
 
 @PROPERTY
