@@ -42,21 +42,13 @@ from .designs import (
     DESIGN_TOL,
     DesignCertificate,
     WeightedStateSet,
-    design_weights,
     frame_operator,
-    haar_average_estimate,
     is_two_design,
-    random_stabilizing_orthogonal,
     regular_simplex,
-    rotate_set,
 )
 from .measurements import (
     QuasiMeasurement,
-    det_factorization_check,
     is_informationally_complete,
-    pseudoinverse_closure_check,
-    random_ic_quasi_measurement,
-    random_quasi_measurement,
     range_volume_sq,
     validate,
 )
@@ -64,25 +56,15 @@ from .inference import (
     DdiResult,
     Ellipsoid,
     ProbabilityCloud,
-    ddi_closed_form,
     ddi_on_ball,
     mvee,
 )
 
-# The verification harness (ddi.verify) is off the inference path, so its
-# names are imported on first use rather than with the package.
-_VERIFY_NAMES = frozenset({
-    "RoundTripReport",
-    "VolumeBoundReport",
-    "composition_bijection_check",
-    "design_volume_bound_check",
-    "feasibility_check",
-    "inference_round_trip",
-})
-
 
 def __getattr__(name):
-    if name in _VERIFY_NAMES:
+    # The other public names belong to the verification harness (ddi.verify),
+    # which is off the inference path and so loads on first use.
+    if name in __all__:
         from . import verify
         return getattr(verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -117,31 +99,32 @@ __all__ = [
     "DESIGN_TOL",
     "DesignCertificate",
     "WeightedStateSet",
-    "design_weights",
     "frame_operator",
-    "haar_average_estimate",
     "is_two_design",
-    "random_stabilizing_orthogonal",
     "regular_simplex",
-    "rotate_set",
     "QuasiMeasurement",
-    "det_factorization_check",
     "is_informationally_complete",
-    "pseudoinverse_closure_check",
-    "random_ic_quasi_measurement",
-    "random_quasi_measurement",
     "range_volume_sq",
     "validate",
     "DdiResult",
     "Ellipsoid",
     "ProbabilityCloud",
+    "ddi_on_ball",
+    "mvee",
+    # ddi.verify
+    "haar_average_estimate",
+    "random_stabilizing_orthogonal",
+    "rotate_set",
+    "design_weights",
+    "det_factorization_check",
+    "pseudoinverse_closure_check",
+    "random_ic_quasi_measurement",
+    "random_quasi_measurement",
+    "ddi_closed_form",
     "RoundTripReport",
     "VolumeBoundReport",
     "composition_bijection_check",
-    "ddi_closed_form",
-    "ddi_on_ball",
     "design_volume_bound_check",
     "feasibility_check",
     "inference_round_trip",
-    "mvee",
 ]

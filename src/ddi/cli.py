@@ -25,7 +25,7 @@ from .errors import DdiError, NoConvergenceError
 from .geometry import StateEmbedding, embed_density, hermitian_from_dict
 from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
-from .measurements import QuasiMeasurement, random_ic_quasi_measurement, validate
+from .measurements import QuasiMeasurement, validate
 
 FORMAT_VERSION = 1
 
@@ -161,6 +161,8 @@ def cmd_embed(args) -> int:
 
 
 def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
+    from .verify import random_ic_quasi_measurement  # the harness stays off the other commands
+
     if trial_seed < 0:
         # negative seed convention: deterministic identity-block instance
         matrix = np.zeros((n, l))

@@ -51,9 +51,10 @@ optimal measurement, weighted by the solver's dual weights, satisfies
 the frame condition sum_j u_j s_j s_j^T = I/l, and its support lies on
 the pure-state sphere, so it is a weighted 2-design.  Every result
 therefore carries the counter-image with those weights and its design
-certificate from :func:`ddi.designs.certify_design`.  The checks of the
-theory behind the map (volume bound, consistency bijection, round trip)
-live in :mod:`ddi.verify`.
+certificate from :func:`ddi.designs.certify_design`.  The closed form
+for clouds of exactly ``l`` points and the checks of the theory behind
+the map (volume bound, consistency bijection, round trip) live in
+:mod:`ddi.verify`.
 """
 
 from __future__ import annotations
@@ -69,17 +70,15 @@ from .errors import (
     InvalidInputError,
     NoConvergenceError,
     NotAQuasiMeasurementError,
-    NotClosedFormCaseError,
 )
 from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
     certify_design,
-    regular_simplex,
     state_set_to_dict,
 )
-from .measurements import QuasiMeasurement, measurement_to_dict, range_volume_sq, validate
+from .measurements import QuasiMeasurement, measurement_to_dict
 
 GAUGE_NOTE = (
     "optimal up to right-composition with any orthogonal map fixing the "
@@ -557,31 +556,6 @@ def ddi_on_ball(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 *
     the partial ellipsoid attached.
     """
     return assemble_result(mvee(cloud, eps, max_iter), cloud, design_tol)
-
-
-def ddi_closed_form(cloud: ProbabilityCloud) -> DdiResult:
-    """Closed-form inference for clouds of exactly ``l`` independent points.
-
-    The optimal measurement simply has the observed distributions as its
-    columns, the counter-image is the standard-basis simplex, certified
-    at ``DESIGN_TOL``, and no iteration is involved.
-    """
-    m = len(cloud)
-    if m != cloud.span_dim:
-        raise NotClosedFormCaseError(
-            f"closed form needs exactly span_dim={cloud.span_dim} independent "
-            f"distributions, got {m}")
-    meas = validate(cloud.points.T.copy())
-    counter = regular_simplex(cloud.span_dim)
-    return DdiResult(
-        measurement=meas,
-        volume_sq=range_volume_sq(meas),
-        counter_image=counter,
-        design_certificate=certify_design(counter),
-        gauge_note=GAUGE_NOTE + "; columns follow the input distribution order",
-        optimality_gap=0.0,
-        iterations=0,
-    )
 
 
 def cloud_to_dict(cloud: ProbabilityCloud) -> dict:

@@ -17,7 +17,8 @@ The squared volume of the measurement range is ``det(M^T M)``, the
 quantity the inference routines minimize.  It factorizes over
 composition with square members: ``det((M L)^T M L) =
 det(M^T M) det(L^T L)`` for informationally complete ``M`` (n x l)
-and ``L`` (l x l).
+and ``L`` (l x l).  The random samplers and the checks of the closure
+identity and of this factorization live in :mod:`ddi.verify`.
 """
 
 from __future__ import annotations
@@ -28,14 +29,11 @@ import numpy as np
 
 from .errors import (
     DegenerateRangeError,
-    InvalidDimensionError,
     InvalidInputError,
     InvalidStateError,
     NotAQuasiMeasurementError,
 )
 from .geometry import DEFAULT_TOL, pseudoinverse
-
-_DET_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -123,85 +121,6 @@ def range_volume_sq(meas: QuasiMeasurement) -> float:
     if meas.n < meas.l or sv[-1] <= DEFAULT_TOL * sv[0]:
         raise DegenerateRangeError("measurement range is rank deficient")
     return float(np.prod(sv * sv))
-
-
-def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
-    """Verify the closure identity ``(M^+)^T u_l = M M^+ u_n`` within ``DEFAULT_TOL``."""
-    pinv = meas.pinv()
-    lhs = pinv.T @ np.ones(meas.l)
-    rhs = meas.matrix @ (pinv @ np.ones(meas.n))
-    return float(np.linalg.norm(lhs - rhs)) <= DEFAULT_TOL
-
-
-def det_factorization_check(outer: QuasiMeasurement, inner: QuasiMeasurement) -> bool:
-    """Verify ``det((M L)^T M L) = det(M^T M) det(L^T L)`` to relative 1e-8.
-
-    The outer factor may be rectangular but the inner one must be
-    square (the identity fails for a strictly rectangular inner
-    factor); both must be informationally complete and composable.
-    """
-    if outer.l != inner.n:
-        raise InvalidInputError(
-            f"inner dimensions do not compose: {outer.l} vs {inner.n}")
-    if inner.n != inner.l:
-        raise InvalidInputError(
-            f"inner factor must be square, got {inner.n} x {inner.l}")
-    if not (is_informationally_complete(outer) and is_informationally_complete(inner)):
-        raise InvalidInputError("determinant factorization requires informationally complete factors")
-    product = QuasiMeasurement(matrix=outer.matrix @ inner.matrix)
-    lhs = range_volume_sq(product)
-    rhs = range_volume_sq(outer) * range_volume_sq(inner)
-    return abs(lhs - rhs) <= _DET_RTOL * abs(rhs)
-
-
-def random_ic_quasi_measurement(n: int, l: int,
-                                seed: int | np.random.Generator = 0) -> QuasiMeasurement:
-    """Random informationally complete quasi-measurement with ``n`` outcomes.
-
-    Gaussian tangent block with column sums fixed to 1; redrawn in the
-    unlikely event of rank deficiency.  Deterministic for a fixed seed.
-    """
-    if l < 2 or n < l:
-        raise InvalidDimensionError(
-            f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
-    rng = np.random.default_rng(seed)
-    ones_n = np.ones(n)
-    for _ in range(64):
-        block = rng.standard_normal((n, l))
-        block -= np.outer(ones_n, ones_n @ block) / n
-        matrix = np.outer(ones_n, np.ones(l)) / n + block
-        sv = np.linalg.svd(matrix, compute_uv=False)
-        if sv[-1] > 1e-6 * sv[0]:
-            return validate(matrix)
-    raise DegenerateRangeError("failed to draw a full-rank measurement")
-
-
-def random_quasi_measurement(n: int, l: int, rank: int,
-                             seed: int | np.random.Generator = 0) -> QuasiMeasurement:
-    """Random quasi-measurement of prescribed rank.
-
-    Builds a matrix whose rows live in a random ``rank``-dimensional
-    subspace and whose column sums equal the projection of the all-ones
-    vector onto that subspace, which is exactly the normalization
-    identity.  With ``rank == l`` this reduces to an informationally
-    complete draw.
-    """
-    if l < 2 or n < 1:
-        raise InvalidDimensionError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
-    if rank < 1 or rank > min(n, l):
-        raise InvalidDimensionError(f"rank must lie in [1, min(n, l)], got {rank}")
-    rng = np.random.default_rng(seed)
-    ones_n = np.ones(n)
-    ones_l = np.ones(l)
-    for _ in range(64):
-        span = np.linalg.qr(rng.standard_normal((l, rank)))[0]
-        projector = span @ span.T
-        rows = rng.standard_normal((n, rank)) @ span.T
-        matrix = rows + np.outer(ones_n, projector @ ones_l - rows.T @ ones_n) / n
-        sv = np.linalg.svd(matrix, compute_uv=False)
-        if sv[rank - 1] > 1e-6 * sv[0] and (rank == min(n, l) or sv[rank] < 1e-9 * sv[0]):
-            return validate(matrix)
-    raise DegenerateRangeError("failed to draw a measurement of the requested rank")
 
 
 def measurement_to_dict(meas: QuasiMeasurement) -> dict:

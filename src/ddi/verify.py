@@ -1,9 +1,13 @@
-"""Verification harness: checks of the theory behind :mod:`ddi.inference`.
+"""Verification harness: samplers and checks of the theory behind :mod:`ddi.inference`.
 
-Range membership, the volume bound ``det(M^T M) >= 1`` for square
-measurements enclosing a design, the consistency bijection under
-composition, the generate-infer-compare round trip, and the random
-enclosing samplers they draw from.  None of it is on the inference path.
+Haar-random stabilizing orthogonals, rotations of state sets, orbit
+averages and the design-weight fit; the quasi-measurement samplers and
+the closure and determinant-factorization checks; the closed form for
+clouds of exactly ``l`` points; range membership, the volume bound
+``det(M^T M) >= 1`` for square measurements enclosing a design, the
+consistency bijection under composition, the generate-infer-compare
+round trip, and the random enclosing samplers they draw from.  None of
+it is on the inference path, and ``ddi infer`` never imports it.
 """
 
 from __future__ import annotations
@@ -15,17 +19,279 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DegenerateRangeError,
+    InvalidDimensionError,
     InvalidInputError,
+    InvalidRotationError,
+    NotClosedFormCaseError,
+    NotPureStateError,
     PreconditionViolatedError,
 )
 from .geometry import DEFAULT_TOL, ball_membership, ball_radius, hyperplane_basis
-from .designs import DesignCertificate, WeightedStateSet, design_weights, is_two_design
-from .inference import ProbabilityCloud, ddi_on_ball
-from .measurements import (QuasiMeasurement, det_factorization_check, is_informationally_complete,
-                           range_volume_sq, validate)
+from .designs import (
+    DesignCertificate,
+    WeightedStateSet,
+    _frame,
+    _frame_deviation,
+    certify_design,
+    is_two_design,
+    regular_simplex,
+)
+from .inference import GAUGE_NOTE, DdiResult, ProbabilityCloud, ddi_on_ball
+from .measurements import QuasiMeasurement, is_informationally_complete, range_volume_sq, validate
 
+_DET_RTOL = 1e-8
 _PERTURBATION_SCALE = 0.1
 _MIN_DESIGN_DEVIATION = 1e-3
+
+
+def _haar_orthogonal_batch(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed elements of O(k) via sign-fixed QR."""
+    z = rng.standard_normal((count, k, k))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(d == 0.0, 1.0, np.sign(d))[:, None, :]
+
+
+def random_stabilizing_orthogonal(l: int, seed: int | np.random.Generator = 0) -> np.ndarray:
+    """Haar-random orthogonal matrix fixing the all-ones direction.
+
+    The draw is uniform over the O(l-1) subgroup acting on the
+    complement of the all-ones vector, embedded back into R^l.  Such
+    maps send the state ball onto itself.
+    """
+    if l < 2:
+        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+    rng = np.random.default_rng(seed)
+    basis = hyperplane_basis(l)
+    q = _haar_orthogonal_batch(l - 1, 1, rng)[0]
+    return np.ones((l, l)) / l + basis @ q @ basis.T
+
+
+def rotate_set(states: WeightedStateSet, rotation: np.ndarray) -> WeightedStateSet:
+    """Apply a stabilizing orthogonal map to every point of a state set.
+
+    Raises :class:`InvalidRotationError` unless ``rotation`` is
+    orthogonal and fixes the all-ones vector, both within ``DEFAULT_TOL``.
+    Weights are untouched; norms, pairwise angles, and any design
+    property are preserved.
+    """
+    rotation = np.asarray(rotation, dtype=float)
+    l = states.l
+    if rotation.shape != (l, l):
+        raise InvalidRotationError(f"rotation must be {l} x {l}, got {rotation.shape}")
+    ones = np.ones(l)
+    if np.abs(rotation @ ones - ones).max() > DEFAULT_TOL:
+        raise InvalidRotationError("rotation must fix the all-ones vector")
+    if np.abs(rotation.T @ rotation - np.eye(l)).max() > DEFAULT_TOL:
+        raise InvalidRotationError("rotation must be orthogonal")
+    return WeightedStateSet(points=states.points @ rotation.T, weights=states.weights)
+
+
+def haar_average_estimate(s: np.ndarray, samples: int,
+                          seed: int | np.random.Generator = 0) -> np.ndarray:
+    """Monte-Carlo estimate of the orbit average of ``s s^T``.
+
+    Averages ``(O s)(O s)^T`` over Haar-random stabilizing orthogonals.
+    For any pure state the exact average is ``eye(l) / l``, the same
+    operator a 2-design reproduces; every sample has unit trace, so the
+    estimate does too.
+    """
+    s = np.asarray(s, dtype=float)
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
+        raise InvalidInputError("state must be a finite vector of length >= 2")
+    plane = abs(float(s.sum()) - 1.0)
+    radial = abs(float(s @ s) - 1.0)
+    if plane > DEFAULT_TOL or radial > DEFAULT_TOL:
+        raise NotPureStateError(
+            "orbit averaging requires a pure state on the hyperplane",
+            deviation=max(plane, radial))
+    l = s.size
+    rng = np.random.default_rng(seed)
+    basis = hyperplane_basis(l)
+    x = basis.T @ s
+    total = np.zeros((l, l))
+    done = 0
+    while done < samples:
+        batch = min(int(samples) - done, 1 << 16)
+        q = _haar_orthogonal_batch(l - 1, batch, rng)
+        pts = np.ones((batch, l)) / l + (q @ x) @ basis.T
+        total += pts.T @ pts
+        done += batch
+    return total / samples
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares, ``argmin |a x - b|`` over ``x >= 0``.
+
+    With no more columns than rows, the fit starts from the unconstrained
+    minimizer of the normal equations: where that is positive it is the
+    optimum, since the KKT conditions hold with no bound active.  Otherwise
+    Lawson and Hanson's active-set loop runs from zero (*Solving Least
+    Squares Problems*, 1974), with a least-squares solve over the free
+    columns at each step.
+    """
+    n, m = a.shape
+    x = np.zeros(m)
+    if m <= n:
+        try:
+            start = np.linalg.solve(a.T @ a, a.T @ b)
+        except np.linalg.LinAlgError:  # a singular Gram matrix has no unique minimizer
+            start = x
+        if start.min() > 0.0:
+            return start
+    passive = np.zeros(m, dtype=bool)
+    tol = 10 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(n, m)
+    for _ in range(3 * m):
+        grad = np.where(passive, -np.inf, a.T @ (b - a @ x))
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while passive.any():
+            z = np.zeros(m)
+            z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+            if z[passive].min() > 0.0:
+                x = z
+                break
+            # step from x toward z until the first passive weight reaches zero
+            hit = passive & (z <= 0.0)
+            x = x + np.min(x[hit] / np.maximum(x[hit] - z[hit], tol)) * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
+
+
+def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Search the weight simplex for a design-certifying weighting.
+
+    Solves a nonnegative least-squares fit of the frame condition
+    ``sum_i w_i s_i s_i^T = eye(l) / l`` over the given unit-norm
+    points.  Returns the normalized weights and the spectral-norm frame
+    deviation they achieve.  When no weighting fits, the returned
+    deviation simply stays large.
+
+    This is a verification tool, not part of the inference path: an
+    inference result already carries its certifying weights, the
+    solver's dual weights.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] < 1:
+        raise InvalidInputError("points must form an (m, l) array")
+    m, l = points.shape
+    system = np.einsum("mi,mj->mij", points, points).reshape(m, l * l).T
+    weights = _nnls(system, (np.eye(l) / l).ravel())
+    total = weights.sum()
+    if total <= 1e-12:
+        weights = np.full(m, 1.0 / m)
+    else:
+        weights = weights / total
+    return weights, _frame_deviation(_frame(points, weights))
+
+
+def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
+    """Verify the closure identity ``(M^+)^T u_l = M M^+ u_n`` within ``DEFAULT_TOL``."""
+    pinv = meas.pinv()
+    lhs = pinv.T @ np.ones(meas.l)
+    rhs = meas.matrix @ (pinv @ np.ones(meas.n))
+    return float(np.linalg.norm(lhs - rhs)) <= DEFAULT_TOL
+
+
+def det_factorization_check(outer: QuasiMeasurement, inner: QuasiMeasurement) -> bool:
+    """Verify ``det((M L)^T M L) = det(M^T M) det(L^T L)`` to relative 1e-8.
+
+    The outer factor may be rectangular but the inner one must be
+    square (the identity fails for a strictly rectangular inner
+    factor); both must be informationally complete and composable.
+    """
+    if outer.l != inner.n:
+        raise InvalidInputError(
+            f"inner dimensions do not compose: {outer.l} vs {inner.n}")
+    if inner.n != inner.l:
+        raise InvalidInputError(
+            f"inner factor must be square, got {inner.n} x {inner.l}")
+    if not (is_informationally_complete(outer) and is_informationally_complete(inner)):
+        raise InvalidInputError("determinant factorization requires informationally complete factors")
+    product = QuasiMeasurement(matrix=outer.matrix @ inner.matrix)
+    lhs = range_volume_sq(product)
+    rhs = range_volume_sq(outer) * range_volume_sq(inner)
+    return abs(lhs - rhs) <= _DET_RTOL * abs(rhs)
+
+
+def random_ic_quasi_measurement(n: int, l: int,
+                                seed: int | np.random.Generator = 0) -> QuasiMeasurement:
+    """Random informationally complete quasi-measurement with ``n`` outcomes.
+
+    Gaussian tangent block with column sums fixed to 1; redrawn in the
+    unlikely event of rank deficiency.  Deterministic for a fixed seed.
+    """
+    if l < 2 or n < l:
+        raise InvalidDimensionError(
+            f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
+    rng = np.random.default_rng(seed)
+    ones_n = np.ones(n)
+    for _ in range(64):
+        block = rng.standard_normal((n, l))
+        block -= np.outer(ones_n, ones_n @ block) / n
+        matrix = np.outer(ones_n, np.ones(l)) / n + block
+        sv = np.linalg.svd(matrix, compute_uv=False)
+        if sv[-1] > 1e-6 * sv[0]:
+            return validate(matrix)
+    raise DegenerateRangeError("failed to draw a full-rank measurement")
+
+
+def random_quasi_measurement(n: int, l: int, rank: int,
+                             seed: int | np.random.Generator = 0) -> QuasiMeasurement:
+    """Random quasi-measurement of prescribed rank.
+
+    Builds a matrix whose rows live in a random ``rank``-dimensional
+    subspace and whose column sums equal the projection of the all-ones
+    vector onto that subspace, which is exactly the normalization
+    identity.  With ``rank == l`` this reduces to an informationally
+    complete draw.
+    """
+    if l < 2 or n < 1:
+        raise InvalidDimensionError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
+    if rank < 1 or rank > min(n, l):
+        raise InvalidDimensionError(f"rank must lie in [1, min(n, l)], got {rank}")
+    rng = np.random.default_rng(seed)
+    ones_n = np.ones(n)
+    ones_l = np.ones(l)
+    for _ in range(64):
+        span = np.linalg.qr(rng.standard_normal((l, rank)))[0]
+        projector = span @ span.T
+        rows = rng.standard_normal((n, rank)) @ span.T
+        matrix = rows + np.outer(ones_n, projector @ ones_l - rows.T @ ones_n) / n
+        sv = np.linalg.svd(matrix, compute_uv=False)
+        if sv[rank - 1] > 1e-6 * sv[0] and (rank == min(n, l) or sv[rank] < 1e-9 * sv[0]):
+            return validate(matrix)
+    raise DegenerateRangeError("failed to draw a measurement of the requested rank")
+
+
+def ddi_closed_form(cloud: ProbabilityCloud) -> DdiResult:
+    """Closed-form inference for clouds of exactly ``l`` independent points.
+
+    The optimal measurement simply has the observed distributions as its
+    columns, the counter-image is the standard-basis simplex, certified
+    at ``DESIGN_TOL``, and no iteration is involved.
+    """
+    m = len(cloud)
+    if m != cloud.span_dim:
+        raise NotClosedFormCaseError(
+            f"closed form needs exactly span_dim={cloud.span_dim} independent "
+            f"distributions, got {m}")
+    meas = validate(cloud.points.T.copy())
+    counter = regular_simplex(cloud.span_dim)
+    return DdiResult(
+        measurement=meas,
+        volume_sq=range_volume_sq(meas),
+        counter_image=counter,
+        design_certificate=certify_design(counter),
+        gauge_note=GAUGE_NOTE + "; columns follow the input distribution order",
+        optimality_gap=0.0,
+        iterations=0,
+    )
 
 
 def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
@@ -45,7 +311,7 @@ def _reproduces(matrix: np.ndarray, counter: np.ndarray, points: np.ndarray,
                 tol: float) -> bool:
     """Does ``counter @ matrix.T`` give ``points`` within ``tol``, with every
     row of ``counter`` in the ball within ``tol``?"""
-    if float(np.abs(counter @ matrix.T - points).max()) > tol:
+    if not float(np.abs(counter @ matrix.T - points).max()) <= tol:
         return False
     # ball_membership of every row: on the hyperplane and f(s) <= tol
     sums = counter.sum(axis=1)

@@ -4,21 +4,24 @@
 ``assemble_result``, binding the arguments by name, and patches it into
 ``inference_round_trip``.  A signature change on that path would
 otherwise show only as every benchmark request failing.  The
-pure-tomography request embeds its states one ``embed_density`` call at
-a time; it runs here untraced and traced, each answer checked by the
-benchmark's own oracle.
+in-process requests (dirichlet-large, pure-tomography, round-trip) run
+here untraced and traced, each answer checked by the benchmark's own
+oracle, and the probes re-call the library on one traced result, so a
+name moved or renamed in ``ddi`` fails here rather than in the
+benchmark.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ddi import ProbabilityCloud, ddi_on_ball, inference_round_trip, random_ic_quasi_measurement
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.tracing import Tracer, patched_global, traced_ddi_on_ball  # noqa: E402
-from perfbench.workloads import PureTomography  # noqa: E402
+from perfbench.workloads import DirichletLarge, PureTomography, RoundTrip, probe  # noqa: E402
 
 
 def test_traced_solve_gives_the_library_result():
@@ -41,13 +44,23 @@ def test_round_trip_runs_under_the_traced_solve():
     assert len(report.perturbed_excess) == 1
 
 
-def test_pure_tomography_request_passes_its_oracle_traced_and_untraced():
-    work = PureTomography()
+@pytest.mark.parametrize("workload, span, on_sphere", [
+    pytest.param(DirichletLarge, "inference.parse", False, id="dirichlet-large"),
+    pytest.param(PureTomography, "geometry.embed", True, id="pure-tomography"),
+    pytest.param(RoundTrip, "inference.round_trip", True, id="round-trip"),
+])
+def test_in_process_request_passes_its_oracle_traced_and_untraced(workload, span, on_sphere):
+    work = workload()
     given = work.make_input(11, 1)
     untraced = work.request(given)
     assert work.check(given, untraced) == []
     tracer = Tracer()
     traced = work.request(given, tracer)
     assert work.check(given, traced) == []
-    np.testing.assert_array_equal(traced[0], untraced[0])
-    assert [span["name"] for span in tracer.spans].count("geometry.embed") == 1
+    np.testing.assert_equal(traced, untraced)
+    assert [record["name"] for record in tracer.spans].count(span) == 1
+    # the probes re-call library functions, design_weights among them, through ddi
+    probe(tracer, *tracer.captured[0])
+    probed = [record["name"] for record in tracer.spans if record["probe"]]
+    assert ("designs.design_weights_probe" in probed) == on_sphere
+    assert len(probed) == 3 + on_sphere

@@ -434,15 +434,33 @@ class TestSubprocessEntry:
         assert run.stdout.strip() == "[]"
 
     def test_import_leaves_the_harness_unloaded(self):
-        # ddi.verify loads on first use of one of its names, not with the CLI
+        # ddi.verify loads on first use of one of its names, not with the CLI,
+        # and the code that moved there is gone from the modules the CLI loads
+        moved = ("_haar_orthogonal_batch", "random_stabilizing_orthogonal", "rotate_set",
+                 "haar_average_estimate", "_nnls", "design_weights",
+                 "pseudoinverse_closure_check", "det_factorization_check", "_DET_RTOL",
+                 "random_ic_quasi_measurement", "random_quasi_measurement", "ddi_closed_form")
         script = (
             "import sys\n"
             "import ddi.cli\n"
             "print(sorted(name for name in sys.modules\n"
             "             if name == 'ddi.verify' or name.split('.')[0] == 'scipy'))\n"
+            f"moved = {moved!r}\n"
+            "print(sorted(f'{module}.{name}' for name in moved\n"
+            "             for module in ('designs', 'measurements', 'inference', 'cli')\n"
+            "             if hasattr(sys.modules['ddi.' + module], name)))\n"
             "from ddi import inference_round_trip\n"
             "print(inference_round_trip.__module__)\n"
+            "print(sorted(name for name in moved if not name.startswith('_')\n"
+            "             and getattr(ddi, name).__module__ != 'ddi.verify'))\n"
+            "bound = {}\n"
+            "exec('from ddi import *', bound)\n"
+            "print(sorted(set(ddi.__all__) - set(bound)))\n"
+            "try:\n"
+            "    ddi.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('AttributeError')\n"
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["[]", "ddi.verify"]
+        assert run.stdout.split() == ["[]", "[]", "ddi.verify", "[]", "[]", "AttributeError"]

@@ -107,6 +107,14 @@ class TestIsTwoDesign:
         with pytest.raises(NotPureStateError):
             is_two_design(s)
 
+    @pytest.mark.parametrize("tol", [1e-7, float("nan")])
+    def test_off_sphere_point_raises_at_a_nan_tolerance(self, tol):
+        # a NaN comparison is False, so the check must be written to fail on it
+        s = WeightedStateSet(points=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+                             weights=[1 / 3] * 3)
+        with pytest.raises(NotPureStateError):
+            is_two_design(s, tol)
+
     def test_certify_design_reports_off_sphere_points_without_raising(self):
         s = WeightedStateSet(points=np.array([[0.5, 0.5], [0.0, 1.0]]),
                              weights=np.array([0.5, 0.5]))

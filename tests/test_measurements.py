@@ -16,8 +16,8 @@ from ddi import (
     range_volume_sq,
     validate,
 )
-from ddi.designs import random_stabilizing_orthogonal
 from ddi.measurements import apply, measurement_from_dict, measurement_to_dict
+from ddi.verify import random_stabilizing_orthogonal
 
 # cyclic matrix with two 0.5 entries per row; det computed as 0.25 by
 # direct expansion, so the squared range volume is 0.0625

@@ -52,7 +52,7 @@ from ddi import (
 )
 from ddi.inference import assemble_result
 
-from ddi.designs import _nnls, design_weights
+from ddi.verify import _nnls, design_weights
 from helpers import (
     embed_density_einsum,
     embed_effect_einsum,
