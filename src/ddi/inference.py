@@ -22,16 +22,18 @@ optimal (a simplex) are recognized without a solve.  It starts from
 uniform weights or from the extreme points of each whitened axis
 (Kumar and Yildirim's core set), whichever has the larger log det, and
 carries the inverse scatter and all leverages through each step by a
-Sherman-Morrison update, O(m d) per step (Todd and Yildirim).  Both are
-recomputed from scratch periodically and before the solver stops, so
-the reported gap is never a value the iteration carried along.  The
-ascent converges only linearly, so once the gap is at most 1e-2 and the
-support is small enough for its lifted rank-one terms to be independent
-(at most D(D + 1)/2 points in D lifted dimensions), every step starts
-from a fresh inverse and weight moves within the support by damped
-Newton steps of log det on the support's face (Sun and Freund's active
-set); a point still joins the support by a toward step.  The dual
-weights double as an optimality certificate.
+Sherman-Morrison update, O(m d) per step (Todd and Yildirim).  Between
+refreshes the weights, the inverse scatter and the leverages are held up
+to one common factor, so a step moves one weight and rescales nothing.
+All are recomputed from scratch, the factor folded back, periodically
+and before the solver stops, so the reported gap is never a value the
+iteration carried along.  The ascent converges only linearly, so once
+the gap is at most 1e-1 and the support is small enough for its lifted
+rank-one terms to be independent (at most D(D + 1)/2 points in D lifted
+dimensions), every step starts from a fresh inverse and weight moves
+within the support by damped Newton steps of log det on the support's
+face (Sun and Freund's active set); a point still joins the support by a
+toward step.  The dual weights double as an optimality certificate.
 
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
@@ -184,7 +186,7 @@ def _sign_fix_columns(w: np.ndarray) -> np.ndarray:
 def _affine_chart(points: np.ndarray):
     """Orthonormal chart (n, rank) of the affine hull and the base point."""
     base = points.mean(axis=0)
-    u, sv, _ = np.linalg.svd((points - base).T, full_matrices=False)
+    _, sv, vt = np.linalg.svd(points - base, full_matrices=False)
     scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
     n = points.shape[1]
     # centered rows sum to 0 within the row-sum tolerance: at most n - 1 axes
@@ -193,7 +195,7 @@ def _affine_chart(points: np.ndarray):
         # the hull fills the hyperplane; use the canonical basis so the
         # ball itself maps to the identity measurement
         return hyperplane_basis(n), base
-    return _sign_fix_columns(u[:, :rank]), base
+    return _sign_fix_columns(vt[:rank].T), base
 
 
 # Leverages carried by rank-one updates drift by rounding; rebuild them
@@ -203,7 +205,7 @@ _REFRESH_STEPS = 64
 _MIN_DENOMINATOR = 1e-2
 # Below this gap, a support small enough for independent rank-one lifts
 # is finished by Newton steps on its face.
-_FACE_GAP = 1e-2
+_FACE_GAP = 1e-1
 # Slack of the containment check on a converged ellipsoid's worst quadratic.
 _CONTAINMENT_TOL = 1e-6
 
@@ -263,7 +265,12 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     are returned at once when they are optimal.  Otherwise the iteration
     starts from them or from the extreme points of each whitened axis,
     whichever has the larger log det, and carries the inverse scatter and
-    the leverages through each step by a rank-one update.
+    the leverages through each step by a rank-one update.  Between
+    refreshes all three are held up to one factor: the true weights are
+    ``scale * u``, the inverse scatter ``inverse / scale`` and the
+    leverages ``leverage / scale``, so a step moves ``scale`` and ``u[j]``
+    and rescales no array.  Each refresh normalizes ``u``, which folds the
+    factor back, and rebuilds the scatter from the support rows.
 
     The ascent converges only linearly.  Once the gap is at most
     ``_FACE_GAP`` and the support has at most ``D (D + 1) / 2`` points,
@@ -301,22 +308,30 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     off_support = np.where(u > 0.0, 0.0, np.inf)
     size = int(np.count_nonzero(u))
     face_size = dim * (dim + 1) // 2
+    # the step product reads the points column by column
+    columns = np.asfortranarray(lifted)
     iteration = 0
     stale = _REFRESH_STEPS
     while True:
         if stale >= _REFRESH_STEPS:
+            # normalizing folds the held factor back into the weights
             u /= u.sum()
+            scale = 1.0
+            support = np.flatnonzero(u)
+            rows = lifted[support]
             try:
-                inverse = np.linalg.inv(lifted.T @ (u[:, None] * lifted))
+                inverse = np.linalg.inv(rows.T @ (u[support, None] * rows))
             except np.linalg.LinAlgError as exc:
                 raise DegenerateInputError(
                     "support collapsed during the ellipsoid iteration") from exc
             leverage = np.einsum("ij,ij->i", lifted @ inverse, lifted)
             stale = 0
+        # between refreshes the weights are scale * u, the inverse scatter
+        # inverse / scale and the leverages leverage / scale
         j_up = int(leverage.argmax())
-        up = float(leverage[j_up])
+        up = float(leverage[j_up]) / scale
         j_down = int((leverage + off_support).argmin())
-        down = float(leverage[j_down])
+        down = float(leverage[j_down]) / scale
         gap = max(up / dim - 1.0, 1.0 - down / dim)
         face = gap <= _FACE_GAP and size <= face_size
         toward = up / dim - 1.0 >= 1.0 - down / dim
@@ -329,7 +344,7 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
             # a point joins the support only by a toward step; weight moves
             # within the support by Newton steps
             if not (toward and off_support[j_up]):
-                newton = _face_newton(lifted, inverse, u, np.flatnonzero(u))
+                newton = _face_newton(lifted, inverse, u, support)
                 if newton is not None:
                     u = newton
                     off_support = np.where(u > 0.0, 0.0, np.inf)
@@ -342,31 +357,31 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
             step = (lever - dim) / (dim * (lever - 1.0))
         else:
             j, lever = j_down, down
-            bound = -u[j] / (1.0 - u[j])
+            weight = scale * u[j]
+            bound = -weight / (1.0 - weight)
             denom = dim * (lever - 1.0)
             step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
-        # only u[j] can change sign; the sum stays 1 up to rounding, which
-        # each refresh removes
+        # the weights become (1 - step) u + step e_j: the factor takes the
+        # 1 - step and only u[j] moves, the one weight that can change sign;
+        # the sum stays 1 up to rounding, which each refresh removes
         was_in = u[j] > 0.0
-        u *= 1.0 - step
-        u[j] = max(u[j] + step, 0.0)
+        scale *= 1.0 - step
+        ratio = step / scale
+        u[j] = max(u[j] + ratio, 0.0)
         off_support[j] = 0.0 if u[j] > 0.0 else np.inf
         size += int(u[j] > 0.0) - int(was_in)
         iteration += 1
         stale += 1
-        # Sherman-Morrison for (1 - step) M + step a_j a_j^T
-        ratio = step / (1.0 - step)
-        denominator = 1.0 + ratio * lever
+        # Sherman-Morrison for the held scatter plus ratio a_j a_j^T
+        denominator = 1.0 + ratio * float(leverage[j])
         if not face and stale < _REFRESH_STEPS and denominator >= _MIN_DENOMINATOR:
             column = inverse @ lifted[j]
-            cross = lifted @ column
+            cross = columns @ column
             coef = ratio / denominator
             inverse -= (coef * column)[:, None] * column
-            inverse /= 1.0 - step
             cross *= cross
             cross *= coef
             leverage -= cross
-            leverage /= 1.0 - step
         else:
             stale = _REFRESH_STEPS
 
@@ -378,15 +393,16 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     hull, whose dimension is ``span_dim - 1``.  The solver works on
     whitened chart coordinates, starts from uniform weights or a core set
     of extreme points, whichever has the larger log det, and updates its
-    leverages by rank one.  Once the gap is at most 1e-2 on a support of
-    at most ``D (D + 1) / 2`` points, ``D = span_dim``, it finishes with
-    Newton steps on the support's face, each from a fresh inverse and
-    each counted in ``iterations`` and against ``max_iter``.  ``root``
-    and ``center`` are built from the returned weights in the original
-    chart.  ``optimality_gap`` is computed from a fresh inverse at those
-    weights, converged or not.  On convergence every point is inside
-    within a ``(1 + eps)`` inflation and shrinking any semi-axis by more
-    than about ``10 * eps`` ejects at least one point.
+    leverages by rank one, holding weights, inverse and leverages up to
+    one factor between refreshes.  Once the gap is at most 1e-1 on a
+    support of at most ``D (D + 1) / 2`` points, ``D = span_dim``, it
+    finishes with Newton steps on the support's face, each from a fresh
+    inverse and each counted in ``iterations`` and against ``max_iter``.
+    ``root`` and ``center`` are built from the returned weights in the
+    original chart.  ``optimality_gap`` is computed from a fresh inverse
+    at those weights, converged or not.  On convergence every point is
+    inside within a ``(1 + eps)`` inflation and shrinking any semi-axis by
+    more than about ``10 * eps`` ejects at least one point.
 
     Raises
     ------

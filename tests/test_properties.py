@@ -2,10 +2,12 @@
 
 Clouds are Dirichlet samples with n in 3..6 outcomes and m in n..24
 points, so their affine hull fills the distribution hyperplane and the
-gauge-fixed measurement is canonical.  A second family is almost flat:
-mixtures of three vertices in four outcomes, one of them lifted off
-their plane by a tiny step, where every returned result must still
-contain the cloud.  The volume and counter-image that the inference map
+gauge-fixed measurement is canonical.  The solver is checked on a wider
+Dirichlet family, n in 3..9, m in n + 1..120 and concentrations 0.3, 1
+and 3, against the dense reference iteration and the fresh gap.  A
+second family is almost flat: mixtures of three vertices in four
+outcomes, one of them lifted off their plane by a tiny step, where
+every returned result must still contain the cloud.  The volume and counter-image that the inference map
 reads off the ellipsoid's root are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
 measurement.  The numpy NNLS behind ``design_weights`` is compared
@@ -37,6 +39,7 @@ from ddi import (
     DegenerateRangeError,
     Ellipsoid,
     InvalidInputError,
+    NoConvergenceError,
     NotAQuasiMeasurementError,
     ProbabilityCloud,
     StateEmbedding,
@@ -54,13 +57,16 @@ from ddi.inference import assemble_result
 
 from ddi.verify import _nnls, design_weights
 from helpers import (
+    chart_coordinates,
     embed_density_einsum,
     embed_effect_einsum,
     embedding_rejection,
     flat_cloud,
+    mvee_dense,
     random_density,
     random_hermitian,
     random_pure_density,
+    solver_gap,
     turned_gauge,
 )
 
@@ -146,6 +152,36 @@ def test_affine_maps_of_the_chart_carry_the_ellipsoid_along(data):
     np.testing.assert_allclose(white @ back_shape @ white.T, np.eye(d), rtol=0.0, atol=tol)
     np.testing.assert_allclose(white @ (back_center - basis.T @ (direct.center - origin)),
                                np.zeros(d), rtol=0.0, atol=tol)
+
+
+@st.composite
+def solver_clouds(draw):
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(n + 1, 120))
+    concentration = draw(st.sampled_from((0.3, 1.0, 3.0)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).dirichlet(np.full(n, concentration), m)
+
+
+@PROPERTY
+@given(points=solver_clouds(), cap=st.integers(1, 8))
+def test_solver_reaches_the_dense_optimum_with_a_fresh_gap(points, cap):
+    # the returned gap is the one a fresh inverse gives at the returned
+    # weights, bit for bit, whether the solver converged or hit max_iter
+    cloud = ProbabilityCloud(points)
+    x = chart_coordinates(cloud)
+    e = mvee(cloud, eps=1e-12)
+    assert e.optimality_gap <= 1e-12
+    assert e.optimality_gap == solver_gap(x, e.support_weights)
+    center, shape = mvee_dense(cloud, eps=1e-12)
+    for actual, expected in ((e.center, center), (e.shape, shape)):
+        np.testing.assert_allclose(actual, expected, rtol=0.0,
+                                   atol=1e-8 * np.abs(expected).max())
+    try:
+        partial = mvee(cloud, eps=1e-12, max_iter=cap)
+    except NoConvergenceError as exc:
+        partial = exc.partial
+    assert partial.optimality_gap == solver_gap(x, partial.support_weights)
 
 
 def assert_answered_or_refused(points):
