@@ -4,8 +4,10 @@ The package infers the least committal quasi-measurement consistent with
 observed (quasi-)probability distributions by minimizing the volume of
 the measurement range over the ball of states, and certifies optimality
 through the 2-design property of the counter-image.  It also ships the
-supporting real-vector formalism, the quantum embedding, and a small
-command-line front end.
+supporting real-vector formalism, the quantum embedding, a verification
+harness and a small command-line front end.  The embedding
+(:mod:`ddi.embedding`) and the harness (:mod:`ddi.verify`) are off the
+inference path and load on first use of one of their names.
 """
 
 __version__ = "0.1.0"
@@ -25,33 +27,9 @@ from .errors import (
     NotPureStateError,
     PreconditionViolatedError,
 )
-from .geometry import (
-    DEFAULT_TOL,
-    StateEmbedding,
-    ball_membership,
-    ball_radius,
-    cone_functional,
-    embed_density,
-    embed_effect,
-    hyperplane_basis,
-    pseudoinverse,
-    traceless_hermitian_basis,
-    unit_effect,
-)
-from .designs import (
-    DESIGN_TOL,
-    DesignCertificate,
-    WeightedStateSet,
-    frame_operator,
-    is_two_design,
-    regular_simplex,
-)
-from .measurements import (
-    QuasiMeasurement,
-    is_informationally_complete,
-    range_volume_sq,
-    validate,
-)
+from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis, pseudoinverse, unit_effect
+from .designs import DESIGN_TOL, DesignCertificate, WeightedStateSet, frame_operator, is_two_design
+from .measurements import QuasiMeasurement, range_volume_sq, validate
 from .inference import (
     DdiResult,
     Ellipsoid,
@@ -61,13 +39,20 @@ from .inference import (
 )
 
 
+_EMBEDDING = ("StateEmbedding", "embed_density", "embed_effect", "traceless_hermitian_basis")
+
+
 def __getattr__(name):
-    # The other public names belong to the verification harness (ddi.verify),
-    # which is off the inference path and so loads on first use.
-    if name in __all__:
-        from . import verify
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The other public names belong to the quantum embedding (ddi.embedding)
+    # or the verification harness (ddi.verify), which are off the inference
+    # path and so load on first use.
+    if name in _EMBEDDING:
+        from . import embedding as home
+    elif name in __all__:
+        from . import verify as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)
 
 
 __all__ = [
@@ -86,24 +71,16 @@ __all__ = [
     "NotPureStateError",
     "PreconditionViolatedError",
     "DEFAULT_TOL",
-    "StateEmbedding",
-    "ball_membership",
     "ball_radius",
-    "cone_functional",
-    "embed_density",
-    "embed_effect",
     "hyperplane_basis",
     "pseudoinverse",
-    "traceless_hermitian_basis",
     "unit_effect",
     "DESIGN_TOL",
     "DesignCertificate",
     "WeightedStateSet",
     "frame_operator",
     "is_two_design",
-    "regular_simplex",
     "QuasiMeasurement",
-    "is_informationally_complete",
     "range_volume_sq",
     "validate",
     "DdiResult",
@@ -111,7 +88,13 @@ __all__ = [
     "ProbabilityCloud",
     "ddi_on_ball",
     "mvee",
+    # ddi.embedding
+    *_EMBEDDING,
     # ddi.verify
+    "cone_functional",
+    "ball_membership",
+    "regular_simplex",
+    "is_informationally_complete",
     "haar_average_estimate",
     "random_stabilizing_orthogonal",
     "rotate_set",

@@ -4,15 +4,18 @@ Exit codes: 0 success, 1 not certified (verify-design), 2 solver did not
 converge (a partial result is still written), 3 invalid input, a usage
 error or an unwritable output path.  Output files are written to a
 temporary sibling and atomically renamed, so a complete prior result is
-never clobbered by a partial one.  Verbosity is controlled by the
-DDI_LOG environment variable (debug, info, warning, error).
+never clobbered by a partial one.  Messages go to stderr as lines
+``LEVEL ddi: message``; the DDI_LOG environment variable names the
+lowest level shown (debug, info, warning, error; warning by default and
+for any other value).  ``ddi infer`` loads only the inference path: the
+quantum embedding and the verification harness are imported by the
+commands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -22,14 +25,11 @@ import numpy as np
 
 from . import __version__
 from .errors import DdiError, NoConvergenceError
-from .geometry import StateEmbedding, embed_density, hermitian_from_dict
 from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, validate
 
 FORMAT_VERSION = 1
-
-logger = logging.getLogger("ddi")
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -37,24 +37,21 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_INPUT = 3
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("DDI_LOG", "warning").strip().lower()
-    level = {
-        "debug": logging.DEBUG,
-        "info": logging.INFO,
-        "warning": logging.WARNING,
-        "error": logging.ERROR,
-    }.get(level_name, logging.WARNING)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    logger.setLevel(level)
+_LEVELS = ("debug", "info", "warning", "error")
+
+
+def _log(level: str, message: str, *args) -> None:
+    """Write ``LEVEL ddi: message % args`` to stderr if DDI_LOG admits ``level``."""
+    shown = os.environ.get("DDI_LOG", "warning").strip().lower()
+    if _LEVELS.index(level) >= _LEVELS.index(shown if shown in _LEVELS else "warning"):
+        print(f"{level.upper()} ddi: {message % args}", file=sys.stderr)
 
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise DdiError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -98,18 +95,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def cmd_infer(args) -> int:
     cloud = cloud_from_dict(_load_json(args.input), sum_tol=args.tol)
-    logger.info("inferring over %d distributions spanning %d dimensions",
-                len(cloud), cloud.span_dim)
+    _log("info", "inferring over %d distributions spanning %d dimensions",
+         len(cloud), cloud.span_dim)
     try:
         result = ddi_on_ball(cloud, eps=args.eps, max_iter=args.max_iter)
         code = EXIT_OK
     except NoConvergenceError as exc:
-        logger.warning("no convergence: %s", exc)
+        _log("warning", "no convergence: %s", exc)
         result = assemble_result(exc.partial, cloud)
         code = EXIT_NO_CONVERGENCE
-    logger.debug("solver: %d iterations, support %d of %d points, gap %.3g",
-                 result.iterations, np.count_nonzero(result.counter_image.weights > 0.0),
-                 len(cloud), result.optimality_gap)
+    _log("debug", "solver: %d iterations, support %d of %d points, gap %.3g",
+         result.iterations, np.count_nonzero(result.counter_image.weights > 0.0),
+         len(cloud), result.optimality_gap)
     _write_text(args.output, _json_text(result.to_dict()))
     return code
 
@@ -122,6 +119,9 @@ def cmd_verify_design(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    # the embedding stays off the other commands, as the harness does
+    from .embedding import StateEmbedding, embed_density, hermitian_from_dict
+
     payload = _load_json(args.input)
     if not isinstance(payload, list) or not payload:
         raise DdiError("embed expects a nonempty JSON list of operators")
@@ -189,7 +189,7 @@ def cmd_simulate(args) -> int:
         try:
             report = inference_round_trip(meas, eps=args.eps, max_iter=args.max_iter)
         except NoConvergenceError as exc:
-            logger.warning("trial %d did not converge: %s", trial, exc)
+            _log("warning", "trial %d did not converge: %s", trial, exc)
             rows.append([trial, trial_seed, "", "", "", "", exc.iterations or 0])
             code = EXIT_NO_CONVERGENCE
             continue
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

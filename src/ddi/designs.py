@@ -6,9 +6,10 @@ its frame operator, the weighted sum of outer products, equals
 ``(O s)(O s)^T`` over orthogonal maps ``O`` that fix the all-ones
 direction, so designs reproduce degree-2 averages over the whole
 sphere-on-the-hyperplane.  The standard basis of R^l, a regular simplex
-on that sphere, is the smallest example here.  The Haar samplers, set
-rotations, orbit averages and design-weight fit that check these facts
-live in :mod:`ddi.verify`.
+on that sphere, is the smallest example.  That simplex
+(``regular_simplex``) and the Haar samplers, set rotations, orbit
+averages and design-weight fit that check these facts live in
+:mod:`ddi.verify`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError, NotPureStateError
+from .errors import InvalidInputError, NotPureStateError
 from .geometry import DEFAULT_TOL
 
 #: Default certification threshold on the frame-operator deviation.
@@ -145,18 +146,6 @@ def is_two_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCe
             f"point lies off the pure-state sphere by {certificate.sphere_deviation}",
             deviation=certificate.sphere_deviation)
     return certificate
-
-
-def regular_simplex(l: int) -> WeightedStateSet:
-    """The standard basis of R^l with uniform weights.
-
-    Its points are mutually orthogonal unit vectors on the hyperplane,
-    forming a regular simplex inscribed in the state ball, and the frame
-    operator is exactly ``eye(l) / l``.
-    """
-    if l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
-    return WeightedStateSet(points=np.eye(l), weights=np.full(l, 1.0 / l))
 
 
 def state_set_to_dict(states: WeightedStateSet) -> dict:

@@ -17,8 +17,9 @@ The squared volume of the measurement range is ``det(M^T M)``, the
 quantity the inference routines minimize.  It factorizes over
 composition with square members: ``det((M L)^T M L) =
 det(M^T M) det(L^T L)`` for informationally complete ``M`` (n x l)
-and ``L`` (l x l).  The random samplers and the checks of the closure
-identity and of this factorization live in :mod:`ddi.verify`.
+and ``L`` (l x l).  The test of informational completeness, the random
+samplers and the checks of the closure identity and of this
+factorization live in :mod:`ddi.verify`.
 """
 
 from __future__ import annotations
@@ -101,14 +102,6 @@ def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
     if abs(float(s.sum()) - 1.0) > DEFAULT_TOL:
         raise InvalidStateError(f"state must sum to 1 within {DEFAULT_TOL}, got {s.sum()}")
     return meas.matrix @ s
-
-
-def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm."""
-    if meas.n < meas.l:
-        return False
-    gram = meas.pinv(tol) @ meas.matrix
-    return float(np.linalg.norm(gram - np.eye(meas.l), 2)) <= tol
 
 
 def range_volume_sq(meas: QuasiMeasurement) -> float:

@@ -1,8 +1,10 @@
 """Verification harness: samplers and checks of the theory behind :mod:`ddi.inference`.
 
-Haar-random stabilizing orthogonals, rotations of state sets, orbit
-averages and the design-weight fit; the quasi-measurement samplers and
-the closure and determinant-factorization checks; the closed form for
+The cone functional and the ball-membership test of the state ball; the
+regular simplex, Haar-random stabilizing orthogonals, rotations of state
+sets, orbit averages and the design-weight fit; the test of
+informational completeness, the quasi-measurement samplers and the
+closure and determinant-factorization checks; the closed form for
 clouds of exactly ``l`` points; range membership, the volume bound
 ``det(M^T M) >= 1`` for square measurements enclosing a design, the
 consistency bijection under composition, the generate-infer-compare
@@ -26,7 +28,7 @@ from .errors import (
     NotPureStateError,
     PreconditionViolatedError,
 )
-from .geometry import DEFAULT_TOL, ball_membership, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
@@ -34,14 +36,56 @@ from .designs import (
     _frame_deviation,
     certify_design,
     is_two_design,
-    regular_simplex,
 )
 from .inference import GAUGE_NOTE, DdiResult, ProbabilityCloud, ddi_on_ball
-from .measurements import QuasiMeasurement, is_informationally_complete, range_volume_sq, validate
+from .measurements import QuasiMeasurement, range_volume_sq, validate
 
 _DET_RTOL = 1e-8
 _PERTURBATION_SCALE = 0.1
 _MIN_DESIGN_DEVIATION = 1e-3
+
+
+def cone_functional(v: np.ndarray) -> float:
+    """Evaluate ``f(v) = |v|^2 - (u . v)^2``.
+
+    Nonpositive values mark the cone whose hyperplane section is the
+    state ball.  On the hyperplane ``u . v = 1`` this reduces to
+    ``|v|^2 - 1``.
+    """
+    v = np.asarray(v, dtype=float)
+    total = float(v.sum())
+    return float(v @ v) - total * total
+
+
+def ball_membership(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """Check that ``s`` lies on the state hyperplane and inside the ball.
+
+    Both conditions are tested with absolute tolerance ``tol``:
+    ``|u . s - 1| <= tol`` and ``f(s) <= tol``.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
+        raise InvalidInputError("state must be a finite vector of length >= 2")
+    return _rows_in_ball(s[None], tol)
+
+
+def _rows_in_ball(rows: np.ndarray, tol: float) -> bool:
+    """:func:`ball_membership` of every row of ``rows``, without the input checks."""
+    sums = rows.sum(axis=1)
+    cone = np.einsum("ij,ij->i", rows, rows) - sums * sums
+    return bool(np.all(np.abs(sums - 1.0) <= tol) and np.all(cone <= tol))
+
+
+def regular_simplex(l: int) -> WeightedStateSet:
+    """The standard basis of R^l with uniform weights.
+
+    Its points are mutually orthogonal unit vectors on the hyperplane,
+    forming a regular simplex inscribed in the state ball, and the frame
+    operator is exactly ``eye(l) / l``.
+    """
+    if l < 2:
+        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+    return WeightedStateSet(points=np.eye(l), weights=np.full(l, 1.0 / l))
 
 
 def _haar_orthogonal_batch(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,6 +234,14 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     return weights, _frame_deviation(_frame(points, weights))
 
 
+def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
+    """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm."""
+    if meas.n < meas.l:
+        return False
+    gram = meas.pinv(tol) @ meas.matrix
+    return float(np.linalg.norm(gram - np.eye(meas.l), 2)) <= tol
+
+
 def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
     """Verify the closure identity ``(M^+)^T u_l = M M^+ u_n`` within ``DEFAULT_TOL``."""
     pinv = meas.pinv()
@@ -313,10 +365,7 @@ def _reproduces(matrix: np.ndarray, counter: np.ndarray, points: np.ndarray,
     row of ``counter`` in the ball within ``tol``?"""
     if not float(np.abs(counter @ matrix.T - points).max()) <= tol:
         return False
-    # ball_membership of every row: on the hyperplane and f(s) <= tol
-    sums = counter.sum(axis=1)
-    cone = np.einsum("ij,ij->i", counter, counter) - sums * sums
-    return bool(np.all(np.abs(sums - 1.0) <= tol) and np.all(cone <= tol))
+    return _rows_in_ball(counter, tol)
 
 
 @dataclass(frozen=True)
@@ -357,11 +406,8 @@ def design_volume_bound_check(meas: QuasiMeasurement,
     if sv[-1] <= 1e-12 * sv[0]:
         raise PreconditionViolatedError("measurement must be invertible")
     inverse = np.linalg.inv(matrix)
-    counter = states.points @ inverse.T
-    for s in counter:
-        if not ball_membership(s):
-            raise PreconditionViolatedError(
-                "measurement range does not enclose the design")
+    if not _rows_in_ball(states.points @ inverse.T, DEFAULT_TOL):
+        raise PreconditionViolatedError("measurement range does not enclose the design")
     gram_det = float(np.prod(sv * sv))
     trace_gap = float(np.sum(1.0 / (sv * sv)) - meas.l)
     return VolumeBoundReport(

@@ -1,5 +1,4 @@
 import json
-import logging
 import subprocess
 import sys
 
@@ -101,20 +100,41 @@ class TestInfer:
         assert main(["verify-design", counter, "--tol", "1e-7"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["is_design"] is True
 
-    def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, caplog):
+    def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, capsys):
         inp = hard_cloud(tmp_path)
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        monkeypatch.delenv("DDI_LOG", raising=False)
         assert main(["infer", inp, "--output", str(quiet)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
         monkeypatch.setenv("DDI_LOG", "debug")
-        with caplog.at_level(logging.DEBUG, logger="ddi"):
-            assert main(["infer", inp, "--output", str(loud)]) == EXIT_OK
+        assert main(["infer", inp, "--output", str(loud)]) == EXIT_OK
         result = json.loads(quiet.read_text())
         support = sum(w > 0.0 for w in result["counter_image"]["weights"])
         expected = (f"solver: {result['iterations']} iterations, support {support} "
                     f"of 30 points, gap {result['optimality_gap']:.3g}")
-        assert [r.getMessage() for r in caplog.records
-                if r.getMessage().startswith("solver:")] == [expected]
+        assert capsys.readouterr().err.splitlines() == [
+            "INFO ddi: inferring over 30 distributions spanning 4 dimensions",
+            f"DEBUG ddi: {expected}"]
         assert loud.read_bytes() == quiet.read_bytes()
+
+    @pytest.mark.parametrize("value, shown", [
+        (None, ["WARNING"]), ("warning", ["WARNING"]), (" Error ", []),
+        ("info", ["INFO", "WARNING"]), ("debug", ["INFO", "WARNING", "DEBUG"]),
+        # an unknown value means warning
+        ("verbose", ["WARNING"]), ("", ["WARNING"])])
+    def test_log_level_names_the_lowest_level_shown(self, tmp_path, monkeypatch, capsys,
+                                                     value, shown):
+        if value is None:
+            monkeypatch.delenv("DDI_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DDI_LOG", value)
+        argv = ["infer", hard_cloud(tmp_path), "--max-iter", "2",
+                "--output", str(tmp_path / "partial.json")]
+        assert main(argv) == EXIT_NO_CONVERGENCE
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" ddi: ")[0] for line in lines] == shown
+        if "WARNING" in shown:
+            assert lines[shown.index("WARNING")].startswith("WARNING ddi: no convergence: ")
 
     def test_malformed_json_is_invalid_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -409,6 +429,25 @@ class TestSubprocessEntry:
         assert main(["infer", inp, "--output", str(out_local)]) == EXIT_OK
         assert out_proc.read_bytes() == out_local.read_bytes()
 
+    @pytest.mark.parametrize("command", ["infer", "verify-design", "embed"])
+    @pytest.mark.parametrize("data", [
+        # UTF-16 with its byte-order mark, ff fe, which no UTF-8 text starts with
+        json.dumps(HALVES_CLOUD).encode("utf-16"),
+        # an integer literal longer than Python converts by default (4300 digits)
+        b'{"n": ' + b"1" * 5000 + b', "distributions": []}',
+        # nested deeper than the JSON decoder recurses
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["utf16", "long-integer", "deep-nesting"])
+    def test_unreadable_input_is_invalid_input(self, tmp_path, command, data):
+        inp = tmp_path / "input.json"
+        inp.write_bytes(data)
+        run = subprocess.run([sys.executable, "-m", "ddi.cli", command, str(inp)],
+                             capture_output=True, text=True)
+        assert run.returncode == EXIT_INVALID_INPUT
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith(f"error: cannot read JSON from {inp}: ")
+        assert "Traceback" not in run.stderr and run.stdout == ""
+
     def test_infer_and_simulate_load_no_scipy(self, tmp_path):
         # a fresh interpreter, since the test helpers import scipy; with
         # sys.modules["scipy"] = None any scipy import there raises
@@ -434,25 +473,41 @@ class TestSubprocessEntry:
         assert run.stdout.strip() == "[]"
 
     def test_import_leaves_the_harness_unloaded(self):
-        # ddi.verify loads on first use of one of its names, not with the CLI,
-        # and the code that moved there is gone from the modules the CLI loads
-        moved = ("_haar_orthogonal_batch", "random_stabilizing_orthogonal", "rotate_set",
-                 "haar_average_estimate", "_nnls", "design_weights",
-                 "pseudoinverse_closure_check", "det_factorization_check", "_DET_RTOL",
-                 "random_ic_quasi_measurement", "random_quasi_measurement", "ddi_closed_form")
+        # ddi.embedding and ddi.verify each load on first use of one of their
+        # names, not with the CLI, which reports without logging; the code
+        # that moved to them is gone from the modules the CLI loads
+        moved = {
+            "ddi.verify": (
+                "_haar_orthogonal_batch", "random_stabilizing_orthogonal", "rotate_set",
+                "haar_average_estimate", "_nnls", "design_weights",
+                "pseudoinverse_closure_check", "det_factorization_check", "_DET_RTOL",
+                "random_ic_quasi_measurement", "random_quasi_measurement", "ddi_closed_form",
+                "regular_simplex", "is_informationally_complete", "ball_membership",
+                "cone_functional"),
+            "ddi.embedding": (
+                "traceless_hermitian_basis", "_hilbert_dimension", "StateEmbedding",
+                "_shared_embedding", "_embed_parts", "embed_density", "embed_effect",
+                "hermitian_from_dict", "hermitian_to_dict"),
+        }
         script = (
             "import sys\n"
             "import ddi.cli\n"
             "print(sorted(name for name in sys.modules\n"
-            "             if name == 'ddi.verify' or name.split('.')[0] == 'scipy'))\n"
+            "             if name in ('logging', 'ddi.embedding', 'ddi.verify')\n"
+            "             or name.split('.')[0] == 'scipy'))\n"
             f"moved = {moved!r}\n"
-            "print(sorted(f'{module}.{name}' for name in moved\n"
-            "             for module in ('designs', 'measurements', 'inference', 'cli')\n"
-            "             if hasattr(sys.modules['ddi.' + module], name)))\n"
+            "modules = ('geometry', 'designs', 'measurements', 'inference', 'cli')\n"
+            "print(sorted(f'{module}.{name}' for names in moved.values() for name in names\n"
+            "             for module in modules if hasattr(sys.modules['ddi.' + module], name)))\n"
+            "from ddi import StateEmbedding\n"
+            "print(StateEmbedding.__module__, 'ddi.verify' in sys.modules)\n"
             "from ddi import inference_round_trip\n"
             "print(inference_round_trip.__module__)\n"
-            "print(sorted(name for name in moved if not name.startswith('_')\n"
-            "             and getattr(ddi, name).__module__ != 'ddi.verify'))\n"
+            "public = [(home, name) for home, names in moved.items() for name in names\n"
+            "          if not name.startswith('_')]\n"
+            "print(sorted(name for home, name in public if name not in ddi.__all__))\n"
+            "print(sorted(name for home, name in public if name in ddi.__all__\n"
+            "             and getattr(ddi, name).__module__ != home))\n"
             "bound = {}\n"
             "exec('from ddi import *', bound)\n"
             "print(sorted(set(ddi.__all__) - set(bound)))\n"
@@ -463,4 +518,6 @@ class TestSubprocessEntry:
         )
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["[]", "[]", "ddi.verify", "[]", "[]", "AttributeError"]
+        assert run.stdout.splitlines() == [
+            "[]", "[]", "ddi.embedding False", "ddi.verify",
+            "['hermitian_from_dict', 'hermitian_to_dict']", "[]", "[]", "AttributeError"]

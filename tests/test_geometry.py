@@ -18,7 +18,7 @@ from ddi import (
     traceless_hermitian_basis,
     unit_effect,
 )
-from ddi.geometry import hermitian_from_dict, hermitian_to_dict
+from ddi.embedding import hermitian_from_dict, hermitian_to_dict
 
 from helpers import (
     bloch_qubit,

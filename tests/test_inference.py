@@ -390,6 +390,27 @@ class TestMvee:
         assert refused and rises
         assert all(sign > 0.0 and rise > 0.0 for sign, rise in rises)
 
+    @pytest.mark.parametrize("dim, taken", [(9, True), (12, False)])
+    def test_face_newton_on_a_simplex_support(self, dim, taken):
+        # on dim affinely independent lifted points A is square, so
+        # G = A (A^T W A)^-1 A^T = W^-1 and the Newton step on the face is
+        # w -> 2 w - w^2 / sum(w^2).  With w_1 = 0.2 and the other weights
+        # equal it keeps every weight positive at dim 9 and is taken; at
+        # dim 12 it would make w_1 negative, so it is cut at w_1 = 0, where
+        # the other dim - 1 points leave the scatter singular, and refused
+        rng = np.random.default_rng(0)
+        lifted = np.hstack([rng.standard_normal((dim, dim - 1)), np.ones((dim, 1))])
+        u = np.full(dim, 0.8 / (dim - 1))
+        u[0] = 0.2
+        inverse = np.linalg.inv(lifted.T @ (u[:, None] * lifted))
+        closed_form = 2.0 * u - u * u / (u @ u)
+        new = inference._face_newton(lifted, inverse, u, np.arange(dim))
+        assert bool(closed_form.min() > 0.0) is taken
+        if taken:
+            np.testing.assert_allclose(new, closed_form, rtol=0.0, atol=1e-14)
+        else:
+            assert new is None
+
     def test_max_iter_counts_newton_steps(self, monkeypatch):
         # two rotated simplices on the sphere, one vertex pushed out by 1%:
         # the uniform start is within 1e-2 of the optimum on a support of
