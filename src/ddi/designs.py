@@ -14,6 +14,7 @@ averages and design-weight fit that check these facts live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +42,28 @@ class WeightedStateSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        points = np.array(self.points, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("points must form an (m, l) array with m >= 1, l >= 2")
         if weights.shape != (points.shape[0],):
             raise InvalidInputError("weights must match the number of points")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        # einsum sums do not warn on non-finite entries, so they screen for
+        # them; only a sum that is not finite has isfinite look
+        plane = float(np.abs(np.einsum("ij->i", points) - 1.0).max())
+        total = float(np.einsum("i->", weights))
+        if not (math.isfinite(plane) and math.isfinite(total)) and not (
+                np.isfinite(points).all() and np.isfinite(weights).all()):
             raise InvalidInputError("points and weights must be finite")
-        if weights.min() < -1e-12:
-            raise InvalidInputError(f"weights must be nonnegative, min is {weights.min()}")
-        weights = np.clip(weights, 0.0, None)
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights must sum to 1, got {weights.sum()}")
-        plane = np.abs(points.sum(axis=1) - 1.0).max()
+        low = float(weights.min())
+        if low < -1e-12:
+            raise InvalidInputError(f"weights must be nonnegative, min is {low}")
+        if low < 0.0:
+            np.maximum(weights, 0.0, out=weights)
+            total = float(np.einsum("i->", weights))
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidInputError(f"weights must sum to 1, got {total}")
         if plane > DEFAULT_TOL:
             raise InvalidInputError(
                 f"every point must lie on the state hyperplane, worst residual {plane}")
@@ -115,7 +124,9 @@ def _frame_deviation(frame: np.ndarray) -> float:
     ``|eigenvalue|``.
     """
     l = frame.shape[0]
-    return float(np.abs(np.linalg.eigvalsh(frame - np.eye(l) / l)).max())
+    excess = frame.copy()
+    excess.ravel()[:: l + 1] -= 1.0 / l
+    return float(np.abs(np.linalg.eigvalsh(excess)).max())
 
 
 def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
@@ -124,7 +135,10 @@ def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignC
     ``is_design`` holds when the point norms are within ``tol`` of 1 and
     the frame operator is within ``tol`` of ``eye(l) / l``.
     """
-    sphere_deviation = float(np.abs(np.linalg.norm(states.points, axis=1) - 1.0).max())
+    points = states.points
+    # the sums of squares norm(points, axis=1) takes, without its wrapper
+    norms = np.sqrt((points * points).sum(axis=1))
+    sphere_deviation = float(np.abs(norms - 1.0).max())
     frame_deviation = _frame_deviation(frame_operator(states))
     return DesignCertificate(
         is_design=max(sphere_deviation, frame_deviation) <= tol,

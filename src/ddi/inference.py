@@ -116,10 +116,11 @@ class ProbabilityCloud:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("cloud must be an (m, n) array with m >= 1, n >= 2")
-        if not np.all(np.isfinite(points)):
+        # einsum row sums do not warn on non-finite entries, so they screen
+        # for them; only a sum that is not finite has isfinite look
+        worst = float(np.abs(np.einsum("ij->i", points) - 1.0).max())
+        if not math.isfinite(worst) and not np.isfinite(points).all():
             raise InvalidInputError("cloud entries must be finite")
-        sums = points.sum(axis=1)
-        worst = float(np.abs(sums - 1.0).max())
         if not worst <= sum_tol:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
@@ -169,7 +170,9 @@ class Ellipsoid:
         # the measurement's volume and counter-image are read off root
         # through this chart, which holds only for orthonormal columns
         chart = np.asarray(self.chart, dtype=float)
-        if np.abs(chart.T @ chart - np.eye(chart.shape[1])).max() > DEFAULT_TOL:
+        gram = chart.T @ chart
+        gram.ravel()[:: chart.shape[1] + 1] -= 1.0
+        if np.abs(gram).max() > DEFAULT_TOL:
             raise InvalidInputError("ellipsoid chart must have orthonormal columns")
 
     @property
@@ -522,8 +525,12 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     offsets = cloud.points - center
     along = chart.T @ center
     normal = center - chart @ along
-    # one solve for the whitened offsets and root^-1 c_par
-    solved = np.linalg.solve(root, np.column_stack([(offsets @ chart).T, along]))
+    # one solve for the whitened offsets and root^-1 c_par, its right-hand
+    # side written row by row and read by columns
+    rhs = np.empty((len(cloud) + 1, l - 1))
+    np.matmul(offsets, chart, out=rhs[:-1])
+    rhs[-1] = along
+    solved = np.linalg.solve(root, rhs.T)
     white, lift = solved[:, :-1], solved[:, -1]
     # light containment check, tolerant of the solver's eps-level slack
     quad = np.einsum("ij,ij->j", white, white)
@@ -540,7 +547,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     if sv[-1] <= DEFAULT_TOL * sv[0]:
         raise DegenerateRangeError("measurement range is rank deficient")
     basis = hyperplane_basis(l)
-    matrix = np.outer(center, np.ones(l)) + chart @ root @ basis.T / radius
+    matrix = center[:, None] + chart @ root @ basis.T / radius
     # full rank, so the normalization identity says every column sums to 1
     residual = float(np.linalg.norm(matrix.sum(axis=0) - 1.0))
     if residual > DEFAULT_TOL:

@@ -20,11 +20,21 @@ det(M^T M) det(L^T L)`` for informationally complete ``M`` (n x l)
 and ``L`` (l x l).  The test of informational completeness, the random
 samplers and the checks of the closure identity and of this
 factorization live in :mod:`ddi.verify`.
+
+Each :class:`QuasiMeasurement` takes at most one thin SVD ``M = U S
+V^T`` of its matrix, on first use, and keeps it.  :func:`validate`,
+:meth:`QuasiMeasurement.pinv`, :func:`range_volume_sq` and the test of
+informational completeness all read that one factorization, and cut
+the rank where :func:`~ddi.geometry.pseudoinverse` does: at singular
+values of at most ``DEFAULT_TOL`` (or the given tolerance) times the
+largest.  A measurement that none of them reads, such as the one each
+inference result carries, is never factorized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +44,7 @@ from .errors import (
     InvalidStateError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, pseudoinverse
+from .geometry import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,7 @@ class QuasiMeasurement:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 2:
             raise InvalidInputError("measurement must be an (n, l) matrix with n >= 1, l >= 2")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise InvalidInputError("measurement entries must be finite")
         matrix = matrix.copy()
         matrix.setflags(write=False)
@@ -65,20 +75,39 @@ class QuasiMeasurement:
     def l(self) -> int:
         return int(self.matrix.shape[1])
 
+    @cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(U, s, V^T)`` of the matrix, read-only, taken on first read."""
+        factors = np.linalg.svd(self.matrix, full_matrices=False)
+        for factor in factors:
+            factor.setflags(write=False)
+        return factors
+
     def pinv(self, rank_tol: float = DEFAULT_TOL) -> np.ndarray:
-        return pseudoinverse(self.matrix, rank_tol)
+        """Pseudoinverse ``V S^+ U^T`` with singular values of at most
+        ``rank_tol`` times the largest treated as zero, the products taken
+        as :func:`numpy.linalg.pinv` takes them."""
+        u, sv, vt = self._svd
+        inverse = np.zeros_like(sv)
+        large = sv > rank_tol * sv[0]
+        inverse[large] = 1.0 / sv[large]
+        return vt.T @ (inverse[:, None] * u.T)
 
 
 def validate(matrix: np.ndarray) -> QuasiMeasurement:
     """Check the normalization identity and wrap the matrix.
 
     Raises :class:`NotAQuasiMeasurementError` carrying the residual
-    ``|M^T u_n - M^+ M u_l|`` when it exceeds ``DEFAULT_TOL``.
+    ``|M^T u_n - M^+ M u_l|`` when it exceeds ``DEFAULT_TOL``.  With the
+    thin SVD ``M = U S V^T``, ``M^+ M`` projects onto the right singular
+    vectors whose singular values pass the ``DEFAULT_TOL`` cutoff, so the
+    right-hand side is ``V_r V_r^T u_l``.
     """
     meas = QuasiMeasurement(matrix=matrix)
-    m = meas.matrix
-    lhs = m.T @ np.ones(meas.n)
-    rhs = m.T @ pseudoinverse(m.T) @ np.ones(meas.l)
+    _, sv, vt = meas._svd
+    kept = vt[sv > DEFAULT_TOL * sv[0]]
+    lhs = meas.matrix.sum(axis=0)
+    rhs = kept.sum(axis=1) @ kept
     residual = float(np.linalg.norm(lhs - rhs))
     if residual > DEFAULT_TOL:
         raise NotAQuasiMeasurementError(
@@ -105,12 +134,12 @@ def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
 
 
 def range_volume_sq(meas: QuasiMeasurement) -> float:
-    """Squared range volume ``det(M^T M)`` via singular values.
+    """Squared range volume ``det(M^T M)`` from the measurement's singular values.
 
     Raises :class:`DegenerateRangeError` when the matrix is rank
     deficient relative to ``DEFAULT_TOL``.
     """
-    sv = np.linalg.svd(meas.matrix, compute_uv=False)
+    sv = meas._svd[1]
     if meas.n < meas.l or sv[-1] <= DEFAULT_TOL * sv[0]:
         raise DegenerateRangeError("measurement range is rank deficient")
     return float(np.prod(sv * sv))

@@ -24,6 +24,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidInputError,
     InvalidRotationError,
+    NotAQuasiMeasurementError,
     NotClosedFormCaseError,
     NotPureStateError,
     PreconditionViolatedError,
@@ -235,11 +236,19 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm."""
+    """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm.
+
+    Read off the measurement's SVD: with singular values of at most
+    ``tol`` times the largest cut, as ``meas.pinv(tol)`` cuts them,
+    ``M^+ M`` projects onto the kept right singular vectors.  That is the
+    identity when all ``l`` are kept, and otherwise a projector at
+    spectral distance 1 from it.
+    """
     if meas.n < meas.l:
         return False
-    gram = meas.pinv(tol) @ meas.matrix
-    return float(np.linalg.norm(gram - np.eye(meas.l), 2)) <= tol
+    sv = meas._svd[1]
+    distance = 0.0 if sv[-1] > tol * sv[0] else 1.0
+    return distance <= tol
 
 
 def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
@@ -287,9 +296,15 @@ def random_ic_quasi_measurement(n: int, l: int,
         block = rng.standard_normal((n, l))
         block -= np.outer(ones_n, ones_n @ block) / n
         matrix = np.outer(ones_n, np.ones(l)) / n + block
-        sv = np.linalg.svd(matrix, compute_uv=False)
+        try:
+            meas = validate(matrix)
+        except NotAQuasiMeasurementError:
+            # validate's rank cut found the draw deficient: redraw, as the
+            # rank test below would
+            continue
+        sv = meas._svd[1]
         if sv[-1] > 1e-6 * sv[0]:
-            return validate(matrix)
+            return meas
     raise DegenerateRangeError("failed to draw a full-rank measurement")
 
 
@@ -402,7 +417,7 @@ def design_volume_bound_check(meas: QuasiMeasurement,
     if not certificate.is_design:
         raise PreconditionViolatedError(
             f"state set is not a certified 2-design, deviation {certificate.frame_deviation}")
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    sv = meas._svd[1]
     if sv[-1] <= 1e-12 * sv[0]:
         raise PreconditionViolatedError("measurement must be invertible")
     inverse = np.linalg.inv(matrix)
@@ -524,7 +539,7 @@ def _perturbed_simplex(l: int, rng: np.random.Generator):
     x = (np.eye(l) - np.ones(l) / l) @ tangent
     for _ in range(64):
         moved = x + _PERTURBATION_SCALE * rng.standard_normal(x.shape)
-        norms = np.linalg.norm(moved, axis=1)
+        norms = np.sqrt((moved * moved).sum(axis=1))
         if norms.min() < 1e-9:
             continue
         moved *= radius / norms[:, None]
@@ -590,8 +605,11 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     cloud = ProbabilityCloud(meas.matrix.T)
     result = ddi_on_ball(cloud, eps, max_iter)
     relative_gap = abs(result.volume_sq - expected) / expected
-    gauge = np.linalg.lstsq(meas.matrix, result.measurement.matrix, rcond=None)[0]
-    closed_form_gap = np.abs(gauge.T @ gauge - np.eye(meas.l)).max()
+    # full column rank, so M^+ M_r is the least-squares solution of M O = M_r
+    gauge = meas.pinv() @ result.measurement.matrix
+    gram = gauge.T @ gauge
+    gram.ravel()[:: meas.l + 1] -= 1.0
+    closed_form_gap = np.abs(gram).max()
     feasible = _reproduces(result.measurement.matrix, result.counter_image.points,
                            cloud.points, 1e-6)
     rng = np.random.default_rng(seed)

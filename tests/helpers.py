@@ -157,6 +157,21 @@ def enclosing_ellipse_bruteforce(vertices, starts=6, seed=0):
     return unwhitened(best.x)
 
 
+def count_linalg_calls(monkeypatch, *names):
+    """Count the calls of the named ``numpy.linalg`` functions from here on.
+
+    Only calls through the module attribute are seen, so the SVD that
+    ``numpy.linalg.pinv`` takes inside numpy is not counted as an ``svd``.
+    """
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def triangle_area(points2d):
     a, b, c = np.asarray(points2d, dtype=float)
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))

@@ -44,6 +44,44 @@ class TestWeightedStateSet:
         with pytest.raises(ValueError):
             s.points[0, 0] = 2.0
 
+    def test_leaves_the_callers_arrays_writeable(self):
+        points, weights = np.eye(3), np.full(3, 1.0 / 3.0)
+        s = WeightedStateSet(points=points, weights=weights)
+        assert points.flags.writeable and weights.flags.writeable
+        assert not (s.points.flags.writeable or s.weights.flags.writeable)
+        assert not (np.shares_memory(s.points, points) or np.shares_memory(s.weights, weights))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        points, weights = np.eye(3), np.full(3, 1.0 / 3.0)
+        bad_points = points.copy()
+        bad_points[1, 2] = bad
+        bad_weights = weights.copy()
+        bad_weights[0] = bad
+        for p, w in ((bad_points, weights), (points, bad_weights)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                WeightedStateSet(points=p, weights=w)
+
+    def test_rejects_infinities_that_cancel_in_a_sum(self):
+        # inf - inf would warn in a ufunc sum; the screen must not
+        with pytest.raises(InvalidInputError, match="finite"):
+            WeightedStateSet(points=np.array([[np.inf, -np.inf, 1.0], [0.0, 0.0, 1.0]]),
+                             weights=np.array([0.5, 0.5]))
+        with pytest.raises(InvalidInputError, match="finite"):
+            WeightedStateSet(points=np.eye(2), weights=np.array([np.inf, -np.inf]))
+
+    def test_rejects_a_finite_row_whose_sum_overflows(self):
+        with pytest.raises(InvalidInputError, match="hyperplane"):
+            WeightedStateSet(points=np.array([[1e308, 1e308, -1e308]]), weights=np.ones(1))
+
+    def test_clips_weights_just_below_zero(self):
+        weights = np.array([0.5, 0.5, -1e-13])
+        s = WeightedStateSet(points=np.eye(3), weights=weights)
+        assert s.weights.tolist() == [0.5, 0.5, 0.0]
+        assert weights[2] == -1e-13
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            WeightedStateSet(points=np.eye(3), weights=np.array([0.5, 0.5 + 2e-12, -2e-12]))
+
 
 class TestRegularSimplex:
     def test_dimension_two_is_the_basis_pair(self):

@@ -45,6 +45,7 @@ from ddi.verify import sample_enclosing_measurement, sample_enclosing_square
 
 from helpers import (
     chart_coordinates,
+    count_linalg_calls,
     duality_gap_dense,
     enclosing_ellipse_bruteforce,
     flat_cloud,
@@ -132,6 +133,16 @@ class TestProbabilityCloud:
     def test_rejects_rank_one(self):
         with pytest.raises(DegenerateInputError):
             ProbabilityCloud(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0],
+                                     [np.inf, -np.inf, 1.0]])
+    def test_rejects_non_finite_entries(self, row):
+        with pytest.raises(InvalidInputError, match="finite"):
+            ProbabilityCloud(np.array([row, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+
+    def test_a_finite_row_whose_sum_overflows_misses_the_sum(self):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
+            ProbabilityCloud(np.array([[1e308, 1e308, -1e308], [0.0, 1.0, 0.0]]))
 
     def test_quasi_probabilities_allowed(self):
         cloud = ProbabilityCloud(np.array([[1.2, -0.2], [0.3, 0.7]]))
@@ -504,6 +515,22 @@ class TestEllipsoidToMeasurement:
                         / ball_radius(cloud.span_dim) ** (2 * (cloud.span_dim - 1)))
             assert range_volume_sq(meas) == pytest.approx(expected, rel=1e-10)
 
+    def test_leaves_the_support_weights_writeable(self):
+        cloud = random_cloud(12, 4, np.random.default_rng(21))
+        ellipsoid = mvee(cloud)
+        result = assemble_result(ellipsoid, cloud)
+        assert ellipsoid.support_weights.flags.writeable
+        assert not result.counter_image.weights.flags.writeable
+
+    def test_never_factorizes_the_measurement(self, monkeypatch):
+        # the volume comes from K; the measurement's own SVD waits for a reader
+        cloud = random_cloud(12, 4, np.random.default_rng(22))
+        result = ddi_on_ball(cloud)
+        assert "_svd" not in vars(result.measurement)
+        counts = count_linalg_calls(monkeypatch, "svd")
+        assert range_volume_sq(result.measurement) == pytest.approx(result.volume_sq, rel=1e-12)
+        assert counts["svd"] == 1
+
     def test_rejects_non_enclosing_ellipsoid(self):
         cloud = ProbabilityCloud(np.eye(3))
         e = mvee(cloud)
@@ -620,6 +647,17 @@ class TestFeasibility:
         cloud = ProbabilityCloud(np.eye(2))
         with pytest.raises(InvalidInputError):
             feasibility_check(validate(np.diag([1.0, 0.0])), cloud)
+
+    def test_factorizes_each_fresh_measurement_once(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        cloud = random_cloud(10, 4, rng)
+        matrices = [sample_enclosing_measurement(cloud, rng).matrix for _ in range(5)]
+        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq")
+        for matrix in matrices:
+            before = counts["svd"]
+            assert feasibility_check(QuasiMeasurement(matrix), cloud, 1e-8)
+            assert counts["svd"] - before == 1
+        assert counts["pinv"] == counts["lstsq"] == 0
 
     def test_matches_the_per_point_ball_membership(self):
         # the loop feasibility_check replaced, kept as its reference
@@ -779,6 +817,15 @@ class TestRoundTrip:
     def test_requires_informational_completeness(self):
         with pytest.raises(InvalidInputError):
             inference_round_trip(validate(np.diag([1.0, 0.0])))
+
+    def test_linalg_work_of_one_simulate_trial(self, monkeypatch):
+        # one SVD for the input measurement, read by the sampler's rank test,
+        # the expected volume and the gauge fit; three per solve (chart, root
+        # and K); one rank test per perturbed simplex
+        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq")
+        meas = random_ic_quasi_measurement(12, 9, 1)
+        inference_round_trip(meas, perturbations=3, seed=1)
+        assert counts == {"svd": 16, "pinv": 0, "lstsq": 0}
 
 
 class TestCloudJson:

@@ -18,7 +18,10 @@ einsum over the operator basis for d = 2..4, for every memory layout a
 caller may pass, with entries near 1e300 and at tolerances below
 1e-150; it keeps the Born rule, as the einsum does in a randomly turned
 gauge, and refuses operators at twice the tolerance from Hermitian or
-unit trace as the checks written out do.  Examples
+unit trace as the checks written out do.  The readers of a
+measurement's one cached SVD (pseudoinverse, range volume, test of
+informational completeness, normalization check) agree with the numpy
+routes written out on full-rank and rank-deficient draws.  Examples
 are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
@@ -42,14 +45,17 @@ from ddi import (
     NoConvergenceError,
     NotAQuasiMeasurementError,
     ProbabilityCloud,
+    QuasiMeasurement,
     StateEmbedding,
     ddi_on_ball,
     embed_density,
     embed_effect,
     hyperplane_basis,
+    is_informationally_complete,
     mvee,
     pseudoinverse,
     random_ic_quasi_measurement,
+    random_quasi_measurement,
     range_volume_sq,
     validate,
 )
@@ -407,6 +413,74 @@ def test_embedding_checks_agree_with_the_written_out_checks(seed, tol):
                             with pytest.raises(DdiError) as info:
                                 embed(op, embedding, tol)
                             assert type(info.value) is expected
+
+
+@st.composite
+def quasi_measurements(draw):
+    # full-rank draws need n >= l; rank-deficient ones keep rank < l
+    n, l = draw(st.integers(2, 12)), draw(st.integers(2, 9))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if n >= l and draw(st.booleans()):
+        return random_ic_quasi_measurement(n, l, seed)
+    return random_quasi_measurement(n, l, draw(st.integers(1, min(n, l - 1))), seed)
+
+
+def volume_through_numpy(m):
+    """``range_volume_sq`` written out on its own SVD; None where it raises."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if m.shape[0] < m.shape[1] or sv[-1] <= DEFAULT_TOL * sv[0]:
+        return None
+    return float(np.prod(sv * sv))
+
+
+def normalization_through_numpy(m):
+    """``validate``'s verdict with the identity's right side from ``numpy.linalg.pinv``."""
+    n, l = m.shape
+    rhs = m.T @ np.linalg.pinv(m.T, rcond=DEFAULT_TOL) @ np.ones(l)
+    return float(np.linalg.norm(m.T @ np.ones(n) - rhs)) <= DEFAULT_TOL
+
+
+def completeness_through_numpy(m, tol):
+    """``M^+ M = eye(l)`` within ``tol`` in spectral norm, from ``numpy.linalg.pinv``."""
+    n, l = m.shape
+    if n < l:
+        return False
+    gram = np.linalg.pinv(m, rcond=tol) @ m
+    return float(np.linalg.norm(gram - np.eye(l), 2)) <= tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(meas=quasi_measurements(), kick=st.sampled_from((0.0, 1e-6, 1e-2)),
+       tol=st.sampled_from((DEFAULT_TOL, 1e-6, 0.5)))
+def test_cached_svd_readers_agree_with_the_numpy_routes(meas, kick, tol):
+    # each reader runs on a fresh measurement, so no reader sees another's SVD;
+    # a tol of 0.5 cuts singular values of full-rank draws too.  Below about
+    # 1e-12 the written-out completeness test would judge its own rounding
+    # on an ill-conditioned full-rank draw, so tol stays above that
+    m = meas.matrix
+    for rank_tol in (DEFAULT_TOL, tol):
+        expected = np.linalg.pinv(m, rcond=rank_tol)
+        assert (np.linalg.norm(QuasiMeasurement(m).pinv(rank_tol) - expected)
+                <= 1e-14 * np.linalg.norm(expected))
+    volume = volume_through_numpy(m)
+    if volume is None:
+        with pytest.raises(DegenerateRangeError):
+            range_volume_sq(QuasiMeasurement(m))
+    else:
+        assert range_volume_sq(QuasiMeasurement(m)) == pytest.approx(volume, rel=1e-13)
+    assert (is_informationally_complete(QuasiMeasurement(m), tol)
+            is completeness_through_numpy(m, tol))
+    kicked = m.copy()
+    kicked[0, 0] += kick
+    try:
+        validate(kicked)
+        accepted = True
+    except NotAQuasiMeasurementError:
+        accepted = False
+    assert accepted is normalization_through_numpy(kicked)
+    if kick == 0.0 or volume is not None:
+        # a full-rank member kicked by k misses the identity by exactly k
+        assert accepted is (kick == 0.0)
 
 
 @pytest.fixture(scope="module")
