@@ -44,16 +44,16 @@ def ball_radius(l: int) -> float:
     return float(np.sqrt(1.0 - 1.0 / l))
 
 
-def pseudoinverse(a: np.ndarray, rank_tol: float = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``rank_tol`` times the largest are treated as
-    zero.  Satisfies the four Penrose identities to rounding accuracy.
+    Singular values of at most ``DEFAULT_TOL`` times the largest are
+    zeroed.  Satisfies the four Penrose identities to rounding accuracy.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0 or not np.all(np.isfinite(a)):
         raise InvalidInputError("pseudoinverse requires a finite 2-d array")
-    return np.linalg.pinv(a, rcond=rank_tol)
+    return np.linalg.pinv(a, rcond=DEFAULT_TOL)
 
 
 @lru_cache

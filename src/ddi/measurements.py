@@ -26,9 +26,9 @@ V^T`` of its matrix, on first use, and keeps it.  :func:`validate`,
 :meth:`QuasiMeasurement.pinv`, :func:`range_volume_sq` and the test of
 informational completeness all read that one factorization, and cut
 the rank where :func:`~ddi.geometry.pseudoinverse` does: at singular
-values of at most ``DEFAULT_TOL`` (or the given tolerance) times the
-largest.  A measurement that none of them reads, such as the one each
-inference result carries, is never factorized.
+values of at most ``DEFAULT_TOL`` times the largest (the completeness
+test at its own tolerance).  A measurement that none of them reads, such
+as the one each inference result carries, is never factorized.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ class QuasiMeasurement:
             factor.setflags(write=False)
         return factors
 
-    def pinv(self, rank_tol: float = DEFAULT_TOL) -> np.ndarray:
+    def pinv(self) -> np.ndarray:
         """Pseudoinverse ``V S^+ U^T`` with singular values of at most
-        ``rank_tol`` times the largest treated as zero, the products taken
-        as :func:`numpy.linalg.pinv` takes them."""
+        ``DEFAULT_TOL`` times the largest treated as zero, the products
+        taken as :func:`numpy.linalg.pinv` takes them."""
         u, sv, vt = self._svd
         inverse = np.zeros_like(sv)
-        large = sv > rank_tol * sv[0]
+        large = sv > DEFAULT_TOL * sv[0]
         inverse[large] = 1.0 / sv[large]
         return vt.T @ (inverse[:, None] * u.T)
 

@@ -8,8 +8,9 @@ closure and determinant-factorization checks; the closed form for
 clouds of exactly ``l`` points; range membership, the volume bound
 ``det(M^T M) >= 1`` for square measurements enclosing a design, the
 consistency bijection under composition, the generate-infer-compare
-round trip, and the random enclosing samplers they draw from.  None of
-it is on the inference path, and ``ddi infer`` never imports it.
+round trip, which checks that every cloud it solves is a simplex, and
+the random enclosing samplers.  None of it is on the inference path,
+and ``ddi infer`` never imports it.
 """
 
 from __future__ import annotations
@@ -239,10 +240,9 @@ def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL
     """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm.
 
     Read off the measurement's SVD: with singular values of at most
-    ``tol`` times the largest cut, as ``meas.pinv(tol)`` cuts them,
-    ``M^+ M`` projects onto the kept right singular vectors.  That is the
-    identity when all ``l`` are kept, and otherwise a projector at
-    spectral distance 1 from it.
+    ``tol`` times the largest cut, ``M^+ M`` projects onto the kept
+    right singular vectors.  That is the identity when all ``l`` are
+    kept, and otherwise a projector at spectral distance 1 from it.
     """
     if meas.n < meas.l:
         return False
@@ -315,8 +315,9 @@ def random_quasi_measurement(n: int, l: int, rank: int,
     Builds a matrix whose rows live in a random ``rank``-dimensional
     subspace and whose column sums equal the projection of the all-ones
     vector onto that subspace, which is exactly the normalization
-    identity.  With ``rank == l`` this reduces to an informationally
-    complete draw.
+    identity.  The rank test reads the validated measurement's SVD, and
+    a draw that fails either is redrawn.  With ``rank == l`` this
+    reduces to an informationally complete draw.
     """
     if l < 2 or n < 1:
         raise InvalidDimensionError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
@@ -330,9 +331,13 @@ def random_quasi_measurement(n: int, l: int, rank: int,
         projector = span @ span.T
         rows = rng.standard_normal((n, rank)) @ span.T
         matrix = rows + np.outer(ones_n, projector @ ones_l - rows.T @ ones_n) / n
-        sv = np.linalg.svd(matrix, compute_uv=False)
+        try:
+            meas = validate(matrix)
+        except NotAQuasiMeasurementError:
+            continue  # validate's rank cut breaks the identity: redraw
+        sv = meas._svd[1]
         if sv[rank - 1] > 1e-6 * sv[0] and (rank == min(n, l) or sv[rank] < 1e-9 * sv[0]):
-            return validate(matrix)
+            return meas
     raise DegenerateRangeError("failed to draw a measurement of the requested rank")
 
 
@@ -575,8 +580,7 @@ class RoundTripReport:
     perturbed_deviation: tuple[float, ...] = ()
 
 
-def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
-                         max_iter: int = 10 ** 6, perturbations: int = 0,
+def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
                          seed: int | np.random.Generator = 0) -> RoundTripReport:
     """Generate data from a known measurement, infer it back, and compare.
 
@@ -588,8 +592,10 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     the recovered measurement against the cloud: the result's own
     counter-image must lie in the ball and be mapped onto the cloud,
     both within 1e-6.  The input must be informationally complete, by
-    the rank test of :func:`range_volume_sq`; otherwise
-    :class:`InvalidInputError` is raised.
+    the rank test of :func:`range_volume_sq`, and every cloud solved
+    must span all ``l`` dimensions, by its chart's rank cut; otherwise
+    :class:`InvalidInputError` is raised.  Each cloud is then a simplex,
+    which the solver answers without iterating, at gap 0.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets that fail design certification by at least
@@ -602,8 +608,15 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     except DegenerateRangeError as exc:
         raise InvalidInputError(
             "round trip requires an informationally complete measurement") from exc
+    rng = np.random.default_rng(seed)
+    perturbed = [_perturbed_simplex(meas.l, rng) for _ in range(int(perturbations))]
     cloud = ProbabilityCloud(meas.matrix.T)
-    result = ddi_on_ball(cloud, eps, max_iter)
+    perturbed_clouds = [ProbabilityCloud(points @ meas.matrix.T) for points, _ in perturbed]
+    span = min(c.span_dim for c in [cloud, *perturbed_clouds])
+    if span != meas.l:
+        raise InvalidInputError(
+            f"round trip requires clouds spanning all l={meas.l} dimensions, one spans {span}")
+    result = ddi_on_ball(cloud)
     relative_gap = abs(result.volume_sq - expected) / expected
     # full column rank, so M^+ M_r is the least-squares solution of M O = M_r
     gauge = meas.pinv() @ result.measurement.matrix
@@ -612,15 +625,6 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
     closed_form_gap = np.abs(gram).max()
     feasible = _reproduces(result.measurement.matrix, result.counter_image.points,
                            cloud.points, 1e-6)
-    rng = np.random.default_rng(seed)
-    excesses = []
-    deviations = []
-    for _ in range(int(perturbations)):
-        points, deviation = _perturbed_simplex(meas.l, rng)
-        perturbed_cloud = ProbabilityCloud(points @ meas.matrix.T)
-        minimum = ddi_on_ball(perturbed_cloud, eps, max_iter).volume_sq
-        excesses.append(expected / minimum - 1.0)
-        deviations.append(deviation)
     return RoundTripReport(
         expected_volume_sq=expected,
         recovered_volume_sq=result.volume_sq,
@@ -630,6 +634,7 @@ def inference_round_trip(meas: QuasiMeasurement, eps: float = 1e-9,
         feasible=feasible,
         optimality_gap=result.optimality_gap,
         iterations=result.iterations,
-        perturbed_excess=tuple(excesses),
-        perturbed_deviation=tuple(deviations),
+        perturbed_excess=tuple(expected / ddi_on_ball(c).volume_sq - 1.0
+                               for c in perturbed_clouds),
+        perturbed_deviation=tuple(deviation for _, deviation in perturbed),
     )

@@ -23,6 +23,9 @@ HALVES_CLOUD = {"n": 3, "distributions": [[0.5, 0.5, 0.0],
                                           [0.0, 0.5, 0.5],
                                           [0.5, 0.0, 0.5]]}
 
+MIXED_QUBIT = {"d": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+MIXED_QUTRIT = {"d": 3, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()}
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -262,14 +265,16 @@ class TestEmbed:
         assert main(["embed", inp]) == EXIT_INVALID_INPUT
         assert "Hermitian" in capsys.readouterr().err
 
-    def test_dimension_mismatch_is_invalid_input(self, tmp_path, capsys):
-        inp = write_json(tmp_path / "ops.json", [{
-            "d": 2,
-            "re": [[0.5, 0.0], [0.0, 0.5]],
-            "im": [[0.0, 0.0], [0.0, 0.0]],
-        }])
-        assert main(["embed", inp, "--dim", "3"]) == EXIT_INVALID_INPUT
-        assert "dimension" in capsys.readouterr().err
+    @pytest.mark.parametrize("operators, flags, message", [
+        ([MIXED_QUBIT], ["--dim", "3"], "operators have dimension 2, expected 3"),
+        ([], [], "embed expects a nonempty JSON list of operators"),
+        ([MIXED_QUBIT, MIXED_QUTRIT], [], "all operators must share one dimension"),
+    ], ids=["dim-flag", "empty-list", "mixed-dimensions"])
+    def test_dimension_mismatch_is_invalid_input(self, tmp_path, capsys,
+                                                 operators, flags, message):
+        inp = write_json(tmp_path / "ops.json", operators)
+        assert main(["embed", inp, *flags]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infinite_imaginary_part_is_refused_without_a_warning(self, tmp_path):
         # 1j * inf is nan + inf j, and forming it would print a RuntimeWarning
@@ -373,6 +378,8 @@ class TestUsageAndOutputErrors:
         ("embed", "--eps", "1e-6"),
         ("embed", "--max-iter", "5"),
         ("simulate", "--tol", "1e-9"),
+        ("simulate", "--eps", "-inf"),
+        ("simulate", "--max-iter", "5"),
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, capsys,
                                                         command, flag, value):
@@ -391,7 +398,6 @@ class TestUsageAndOutputErrors:
         ("verify-design", "--tol", "inf"),
         ("embed", "--tol", "nan"),
         ("embed", "--tol", "1e400"),
-        ("simulate", "--eps", "-inf"),
     ])
     def test_tolerances_outside_their_range_are_usage_errors(self, tmp_path, capsys,
                                                               command, flag, value):

@@ -30,6 +30,10 @@ class TestWeightedStateSet:
         with pytest.raises(InvalidInputError):
             WeightedStateSet(points=np.eye(3), weights=np.array([0.5, 0.5, 0.5]))
 
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(InvalidInputError, match="match the number of points"):
+            WeightedStateSet(points=np.eye(3), weights=np.array([0.5, 0.5]))
+
     def test_rejects_negative_weights(self):
         with pytest.raises(InvalidInputError):
             WeightedStateSet(points=np.eye(2), weights=np.array([1.5, -0.5]))
@@ -234,9 +238,15 @@ class TestStabilizingOrthogonal:
 
 
 class TestRotateSet:
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(InvalidRotationError):
-            rotate_set(regular_simplex(3), np.eye(3) * 2.0)
+    @pytest.mark.parametrize("rotation, message", [
+        (np.eye(3) * 2.0, "fix the all-ones vector"),
+        # a shear along a direction orthogonal to u fixes u, so only the
+        # orthogonality test can refuse it
+        (np.eye(3) + 0.5 * np.outer([1.0, -1.0, 0.0], [0.0, 1.0, -1.0]), "must be orthogonal"),
+    ], ids=["scaled", "shear-fixing-ones"])
+    def test_rejects_non_orthogonal(self, rotation, message):
+        with pytest.raises(InvalidRotationError, match=message):
+            rotate_set(regular_simplex(3), rotation)
 
     def test_rejects_orthogonal_not_fixing_ones(self):
         reflection = np.diag([-1.0, 1.0, 1.0])

@@ -228,10 +228,14 @@ class TestEmbedding:
         with pytest.raises(NotNormalizedError):
             embed_density(np.eye(2), emb)
 
-    def test_rejects_dimension_mismatch(self):
+    @pytest.mark.parametrize("op, message", [
+        (np.eye(3) / 3, "dimension 3, expected 2"),
+        (np.eye(2, 3) / 2, "square matrix"),
+    ], ids=["3x3", "2x3"])
+    def test_rejects_dimension_mismatch(self, op, message):
         emb = StateEmbedding.for_dimension(2)
-        with pytest.raises(InvalidInputError):
-            embed_density(np.eye(3) / 3, emb)
+        with pytest.raises(InvalidInputError, match=message):
+            embed_density(op, emb)
 
     def test_returns_a_fresh_writeable_vector(self):
         emb = StateEmbedding.for_dimension(2)

@@ -25,6 +25,7 @@ from ddi import (
     feasibility_check,
     hyperplane_basis,
     inference_round_trip,
+    is_informationally_complete,
     is_two_design,
     mvee,
     random_ic_quasi_measurement,
@@ -531,6 +532,12 @@ class TestEllipsoidToMeasurement:
         assert range_volume_sq(result.measurement) == pytest.approx(result.volume_sq, rel=1e-12)
         assert counts["svd"] == 1
 
+    def test_rejects_an_ellipsoid_of_another_cloud(self):
+        # both clouds span 3 dimensions, in 3 and in 4 outcomes
+        ellipsoid = mvee(ProbabilityCloud(np.eye(3)))
+        with pytest.raises(InvalidInputError, match="chart does not match"):
+            assemble_result(ellipsoid, ProbabilityCloud(np.eye(4)[:3]))
+
     def test_rejects_non_enclosing_ellipsoid(self):
         cloud = ProbabilityCloud(np.eye(3))
         e = mvee(cloud)
@@ -817,6 +824,32 @@ class TestRoundTrip:
     def test_requires_informational_completeness(self):
         with pytest.raises(InvalidInputError):
             inference_round_trip(validate(np.diag([1.0, 0.0])))
+
+    def test_requires_columns_spanning_all_dimensions(self):
+        # two columns 2e-9 apart: the rank tests of validate and range_volume_sq
+        # pass, but the cloud's chart drops their difference, so the cloud is
+        # not a simplex and its solve would not be the input measurement's
+        rng = np.random.default_rng(12)
+        m = rng.dirichlet(np.ones(6), size=4).T
+        m[:, 3] = m[:, 2] + 2e-9 * np.array([1, -1, 0, 0, 0, 0]) / np.sqrt(2)
+        meas = validate(m)
+        assert is_informationally_complete(meas) and range_volume_sq(meas) > 0.0
+        assert ProbabilityCloud(m.T).span_dim == 3
+        with pytest.raises(InvalidInputError, match="spanning all l=4 dimensions, one spans 3"):
+            inference_round_trip(meas)
+
+    def test_requires_perturbed_clouds_spanning_all_dimensions(self, monkeypatch):
+        # a perturbed simplex with a repeated point spans one dimension less
+        def repeated(l, rng):
+            points = np.eye(l)
+            points[-1] = points[0]
+            return points, 1.0
+
+        monkeypatch.setattr(verify, "_perturbed_simplex", repeated)
+        meas = random_ic_quasi_measurement(6, 4, 1)
+        assert inference_round_trip(meas).perturbed_excess == ()
+        with pytest.raises(InvalidInputError, match="spanning all l=4 dimensions, one spans 3"):
+            inference_round_trip(meas, perturbations=1)
 
     def test_linalg_work_of_one_simulate_trial(self, monkeypatch):
         # one SVD for the input measurement, read by the sampler's rank test,

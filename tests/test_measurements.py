@@ -19,6 +19,8 @@ from ddi import (
 from ddi.measurements import apply, measurement_from_dict, measurement_to_dict
 from ddi.verify import random_stabilizing_orthogonal
 
+from helpers import count_linalg_calls
+
 # cyclic matrix with two 0.5 entries per row; det computed as 0.25 by
 # direct expansion, so the squared range volume is 0.0625
 HALVES = np.array([[0.5, 0.5, 0.0],
@@ -215,6 +217,12 @@ class TestSamplers:
         for seed in range(20):
             meas = random_quasi_measurement(6, 5, 3, seed=seed)
             assert np.linalg.matrix_rank(meas.matrix, tol=1e-9) == 3
+
+    def test_rank_sampler_factorizes_each_draw_once(self, monkeypatch):
+        # the rank test reads the SVD that validate took
+        counts = count_linalg_calls(monkeypatch, "svd")
+        random_quasi_measurement(6, 5, 3, seed=1)
+        assert counts == {"svd": 1}
 
     def test_rank_sampler_rejects_bad_rank(self):
         with pytest.raises(InvalidDimensionError):
