@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DdiError, NoConvergenceError
+from .errors import DdiError, InvalidDimensionError, NoConvergenceError
 from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, validate
@@ -166,9 +166,10 @@ def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
 
     if trial_seed < 0:
         # negative seed convention: deterministic identity-block instance
-        matrix = np.zeros((n, l))
-        matrix[:l, :l] = np.eye(l)
-        return validate(matrix)
+        if l < 2 or n < l:
+            raise InvalidDimensionError(
+                f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
+        return validate(np.eye(n, l))
     return random_ic_quasi_measurement(n, l, trial_seed)
 
 
@@ -180,19 +181,14 @@ def cmd_simulate(args) -> int:
     header = ["trial", "seed", "expected_volume_sq", "recovered_volume_sq",
               "relative_gap", "design_deviation", "iterations"]
     rows = []
-    worst_gap = 0.0
-    worst_dev = 0.0
-    worst_iter = 0
     for trial in range(args.trials):
         trial_seed = args.seed + trial if args.seed >= 0 else args.seed
         report = inference_round_trip(_trial_measurement(args.n, args.l, trial_seed))
         rows.append([trial, trial_seed, report.expected_volume_sq,
                      report.recovered_volume_sq, report.relative_gap,
                      report.design_certificate.frame_deviation, report.iterations])
-        worst_gap = max(worst_gap, report.relative_gap)
-        worst_dev = max(worst_dev, report.design_certificate.frame_deviation)
-        worst_iter = max(worst_iter, report.iterations)
-    rows.append(["max", "", "", "", worst_gap, worst_dev, worst_iter])
+    columns = list(zip(*rows))
+    rows.append(["max", "", "", "", *map(max, columns[4:])])
     _write_text(args.output, _csv_text(header, rows))
     return EXIT_OK
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPureStateError
-from .geometry import DEFAULT_TOL
+from .geometry import DEFAULT_TOL, _read_layout
 
 #: Default certification threshold on the frame-operator deviation.
 DESIGN_TOL = 1e-9
@@ -173,12 +173,7 @@ def state_set_to_dict(states: WeightedStateSet) -> dict:
 
 def state_set_from_dict(obj: dict) -> WeightedStateSet:
     """Parse the ``{"l", "points", "weights"}`` layout."""
-    try:
-        l = int(obj["l"])
-        points = np.asarray(obj["points"], dtype=float)
-        weights = np.asarray(obj["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed state-set object: {exc}") from exc
+    l, points, weights = _read_layout(obj, "state-set", ("l",), ("points", "weights"))
     if points.ndim != 2 or points.shape[1] != l:
         raise InvalidInputError(f"points must be rows of length {l}")
     return WeightedStateSet(points=points, weights=weights)

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidInputError, NotNormalizedError
-from .geometry import DEFAULT_TOL, hyperplane_basis
+from .geometry import DEFAULT_TOL, _read_layout, hyperplane_basis
 
 
 @lru_cache
@@ -260,16 +260,10 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
 def hermitian_from_dict(obj: dict) -> np.ndarray:
     """Parse ``{"d": int, "re": [[...]], "im": [[...]]}`` into a complex matrix.
 
-    Only the shape is checked here; embedding the matrix checks that its
-    entries are finite and that it is Hermitian.  The two parts are set
-    directly, since ``1j * inf`` would be ``nan + inf j`` and warn.
+    Embedding the matrix checks that it is finite and Hermitian.
+    The parts are set directly, since ``1j * inf`` is ``nan + inf j`` and warns.
     """
-    try:
-        d = int(obj["d"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed operator object: {exc}") from exc
+    d, re, im = _read_layout(obj, "operator", ("d",), ("re", "im"))
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvalidInputError(
             f"operator parts must be {d} x {d} matrices, got {re.shape} and {im.shape}")

@@ -62,13 +62,10 @@ class PreconditionViolatedError(DdiError):
 class NoConvergenceError(DdiError):
     """The iterative solver hit its iteration cap before reaching the gap.
 
-    Carries the best iterate found so far, so callers can inspect or
-    persist a partial result.
+    ``partial`` is the best iterate found, for callers to inspect or
+    persist; its ``optimality_gap`` and ``iterations`` record the solve.
     """
 
-    def __init__(self, message: str, partial=None, achieved_gap: float | None = None,
-                 iterations: int | None = None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
-        self.achieved_gap = achieved_gap
-        self.iterations = iterations

@@ -75,3 +75,33 @@ def hyperplane_basis(l: int) -> np.ndarray:
         cols[:, k - 1] /= np.sqrt(k * (k + 1.0))
     cols.setflags(write=False)
     return cols
+
+
+def _read_layout(obj, kind: str, sizes: tuple[str, ...], arrays: tuple[str, ...]) -> list:
+    """Each size of a parsed JSON layout as an int, then each array as floats.
+
+    Sizes must be whole, finite numbers (``2.0`` reads as 2; ``true``, ``"3"``,
+    ``2.5``, ``NaN`` and ``1e999`` do not) and arrays rectangular and numeric;
+    otherwise, or on a missing key, :class:`InvalidInputError` is raised.
+    """
+    malformed = f"malformed {kind} object: "
+    keys = (*sizes, *arrays)
+    if not isinstance(obj, dict) or not all(key in obj for key in keys):
+        raise InvalidInputError(f"{malformed}need a JSON object with keys {', '.join(keys)}")
+    read = []
+    for key in sizes:
+        size = obj[key]
+        if isinstance(size, float) and size.is_integer():  # false for nan and inf
+            size = int(size)
+        if type(size) is not int:  # bool is a subclass of int
+            raise InvalidInputError(f"{malformed}{key} must be a whole number, got {size!r:.40}")
+        read.append(size)
+    for key in arrays:
+        try:
+            array = np.asarray(obj[key])
+        except ValueError as exc:  # ragged
+            raise InvalidInputError(f"{malformed}{key}: {exc}") from exc
+        if array.dtype.kind not in "iuf":  # strings, nulls, integers beyond 64 bits
+            raise InvalidInputError(f"{malformed}{key} must be a numeric array")
+        read.append(array.astype(float, copy=False))
+    return read

@@ -73,7 +73,7 @@ from .errors import (
     NoConvergenceError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _read_layout, ball_radius, hyperplane_basis
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
@@ -257,10 +257,10 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     """Barycentric ascent with away/drop steps on lifted points.
 
     Maximizes log det of the weighted scatter of ``(x_i, 1)``.  Returns
-    ``(weights, gap, iterations, converged)`` where ``gap`` is the
-    relative duality gap max(max_j w_j / D - 1, 1 - min_support w_j / D)
-    on the leverage values w_j, computed from a fresh inverse, never one
-    carried through the updates.
+    ``(weights, gap, iterations)`` where ``gap`` is the relative duality
+    gap max(max_j w_j / D - 1, 1 - min_support w_j / D) on the leverage
+    values w_j, computed from a fresh inverse, never one carried through
+    the updates.  The caller reads convergence as ``gap <= eps``.
 
     The weights are affine-invariant, so the iteration runs on whitened
     points, whose uniform lifted scatter is the identity; a thin QR keeps
@@ -291,7 +291,7 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
         # d + 1 points spanning d dimensions, a simplex: the lifted points
         # form an invertible square matrix, so every uniform leverage is
         # exactly dim
-        return u, 0.0, 0, True
+        return u, 0.0, 0
     # constant column first, so the other columns of q are the centered,
     # whitened axes
     q = np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
@@ -300,7 +300,7 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     leverage = np.einsum("ij,ij->i", lifted, lifted)
     gap = max(leverage.max() / dim - 1.0, 1.0 - leverage.min() / dim)
     if gap <= eps:
-        return u, gap, 0, True
+        return u, gap, 0
     core = np.zeros(m)
     core[q[:, 1:].argmax(axis=0)] = 1.0
     core[q[:, 1:].argmin(axis=0)] = 1.0
@@ -343,7 +343,7 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
                 stale = _REFRESH_STEPS
                 continue
             if gap <= eps or iteration == max_iter:
-                return u, gap, iteration, gap <= eps
+                return u, gap, iteration
             # a point joins the support only by a toward step; weight moves
             # within the support by Newton steps
             if not (toward and off_support[j_up]):
@@ -410,8 +410,8 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     Raises
     ------
     NoConvergenceError
-        When ``max_iter`` steps do not reach the gap; the exception
-        carries the best ellipsoid found and the achieved gap.
+        When ``max_iter`` steps do not reach the gap; the exception's
+        ``partial`` is the best ellipsoid found, with the achieved gap.
     """
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be positive and finite, got {eps}")
@@ -420,7 +420,7 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     d = cloud.span_dim - 1
     chart, base = cloud.chart, cloud.base
     x = (cloud.points - base) @ chart
-    weights, gap, iterations, converged = _khachiyan_weights(x, eps, int(max_iter))
+    weights, gap, iterations = _khachiyan_weights(x, eps, int(max_iter))
     center_x = weights @ x
     # root = V S V^T from the thin SVD A = U S V^T; shape = A^T A is never formed
     support = weights > 0.0
@@ -434,10 +434,9 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         optimality_gap=float(gap),
         iterations=int(iterations),
     )
-    if not converged:
+    if not gap <= eps:  # a NaN gap fails too
         raise NoConvergenceError(
-            f"gap {gap} after {iterations} iterations (target {eps})",
-            partial=ellipsoid, achieved_gap=float(gap), iterations=int(iterations))
+            f"gap {gap} after {iterations} iterations (target {eps})", partial=ellipsoid)
     return ellipsoid
 
 
@@ -591,11 +590,7 @@ def cloud_to_dict(cloud: ProbabilityCloud) -> dict:
 
 def cloud_from_dict(obj: dict, sum_tol: float = DEFAULT_TOL) -> ProbabilityCloud:
     """Parse the ``{"n", "distributions"}`` layout."""
-    try:
-        n = int(obj["n"])
-        points = np.asarray(obj["distributions"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed cloud object: {exc}") from exc
+    n, points = _read_layout(obj, "cloud", ("n",), ("distributions",))
     if points.ndim != 2 or points.shape[1] != n:
         raise InvalidInputError(f"distributions must be rows of length {n}")
     return ProbabilityCloud(points, sum_tol=sum_tol)

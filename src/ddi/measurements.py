@@ -44,7 +44,7 @@ from .errors import (
     InvalidStateError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL
+from .geometry import DEFAULT_TOL, _read_layout
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,7 @@ def measurement_to_dict(meas: QuasiMeasurement) -> dict:
 
 def measurement_from_dict(obj: dict) -> QuasiMeasurement:
     """Parse and validate the ``{"n", "l", "matrix"}`` layout."""
-    try:
-        n = int(obj["n"])
-        l = int(obj["l"])
-        matrix = np.asarray(obj["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed measurement object: {exc}") from exc
+    n, l, matrix = _read_layout(obj, "measurement", ("n", "l"), ("matrix",))
     if matrix.shape != (n, l):
         raise InvalidInputError(f"matrix shape {matrix.shape} does not match n={n}, l={l}")
     return validate(matrix)

@@ -105,10 +105,8 @@ def random_stabilizing_orthogonal(l: int, seed: int | np.random.Generator = 0) -
     complement of the all-ones vector, embedded back into R^l.  Such
     maps send the state ball onto itself.
     """
-    if l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+    basis = hyperplane_basis(l)  # refuses l < 2
     rng = np.random.default_rng(seed)
-    basis = hyperplane_basis(l)
     q = _haar_orthogonal_batch(l - 1, 1, rng)[0]
     return np.ones((l, l)) / l + basis @ q @ basis.T
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -148,6 +149,15 @@ class TestInfer:
     def test_missing_file_is_invalid_input(self, tmp_path, capsys):
         assert main(["infer", str(tmp_path / "absent.json")]) == EXIT_INVALID_INPUT
         capsys.readouterr()
+
+    def test_whole_float_size_reads_as_int(self, tmp_path):
+        outputs = []
+        for size in (3, 3.0):
+            inp = write_json(tmp_path / "cloud.json", {**HALVES_CLOUD, "n": size})
+            out = tmp_path / f"result-{size}.json"
+            assert main(["infer", inp, "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_bad_distribution_sums_are_invalid_input(self, tmp_path, capsys):
         inp = write_json(tmp_path / "cloud.json",
@@ -343,6 +353,14 @@ class TestSimulate:
         assert main(["simulate", "4", "3", "0"]) == EXIT_INVALID_INPUT
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "0"])
+    @pytest.mark.parametrize("n, l", [("2", "3"), ("-1", "3"), ("3", "-2")])
+    def test_rejects_sizes_outside_informational_completeness(self, capsys, n, l, seed):
+        # the identity block of a negative seed checks the sizes as the sampler does
+        assert main(["simulate", n, l, "1", "--seed", seed]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == (
+            f"error: need n >= l >= 2 for informational completeness, got n={n}, l={l}\n")
+
 
 class TestUsageAndOutputErrors:
     def test_usage_errors_are_invalid_input(self, tmp_path, capsys):
@@ -452,6 +470,23 @@ class TestSubprocessEntry:
         assert run.returncode == EXIT_INVALID_INPUT
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith(f"error: cannot read JSON from {inp}: ")
+        assert "Traceback" not in run.stderr and run.stdout == ""
+
+    @pytest.mark.parametrize("command, template", [
+        ("infer", '{"n": %s, "distributions": [[1, 0], [0, 1]]}'),
+        ("verify-design", '{"l": %s, "points": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}'),
+        ("embed", '[{"d": %s, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}]'),
+    ], ids=["infer", "verify-design", "embed"])
+    @pytest.mark.parametrize("size", ["1e999", "2.5", "true", '"3"', "NaN"])
+    def test_malformed_size_is_invalid_input(self, tmp_path, command, template, size):
+        # each file is valid with size 2; JSON 1e999 parses as inf
+        inp = tmp_path / "input.json"
+        inp.write_text(template % size, encoding="utf-8")
+        run = subprocess.run([sys.executable, "-m", "ddi.cli", command, str(inp)],
+                             capture_output=True, text=True)
+        assert run.returncode == EXIT_INVALID_INPUT
+        assert len(run.stderr.splitlines()) == 1
+        assert re.match(r"error: malformed [a-z-]+ object: ", run.stderr)
         assert "Traceback" not in run.stderr and run.stdout == ""
 
     def test_infer_and_simulate_load_no_scipy(self, tmp_path):

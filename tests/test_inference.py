@@ -292,9 +292,9 @@ class TestMvee:
         with pytest.raises(NoConvergenceError) as info:
             mvee(cloud, eps=1e-9, max_iter=2)
         exc = info.value
-        assert exc.iterations == 2
-        assert exc.achieved_gap > 1e-9
         assert isinstance(exc.partial, Ellipsoid)
+        assert exc.partial.iterations == 2
+        assert exc.partial.optimality_gap > 1e-9
         # the same cloud converges without the cap
         assert mvee(cloud).optimality_gap <= 1e-9
 
@@ -439,13 +439,13 @@ class TestMvee:
             mvee(cloud, max_iter=3)
         exc = info.value
         assert taken == [True] * 3
-        assert exc.iterations == exc.partial.iterations == 3
-        assert exc.achieved_gap == exc.partial.optimality_gap > 1e-9
+        assert exc.partial.iterations == 3
+        assert exc.partial.optimality_gap > 1e-9
         assert abs(duality_gap_dense(cloud, exc.partial.support_weights)
                    - exc.partial.optimality_gap) <= 1e-12
         result = assemble_result(exc.partial, cloud)
         assert result.iterations == 3
-        assert result.optimality_gap == exc.achieved_gap
+        assert result.optimality_gap == exc.partial.optimality_gap
 
     def test_newton_steps_keep_the_work_count_low(self):
         # the ascent alone takes about 530 iterations on these clouds, with
@@ -871,3 +871,15 @@ class TestCloudJson:
     def test_rejects_ragged_input(self):
         with pytest.raises(InvalidInputError):
             cloud_from_dict({"n": 3, "distributions": [[1.0, 0.0], [0.0, 1.0]]})
+
+    @pytest.mark.parametrize("obj", [
+        [[1.0, 0.0], [0.0, 1.0]],
+        {"distributions": [[1.0, 0.0], [0.0, 1.0]]},
+        {"n": 2, "distributions": [[1.0, 0.0], [0.0]]},
+        {"n": 2, "distributions": [["1", "0"], ["0", "1"]]},
+        {"n": 2, "distributions": [[1.0, None], [0.0, 1.0]]},
+        {"n": 2, "distributions": [[10 ** 400, 0], [0, 1]]},
+    ], ids=["not-a-mapping", "missing-key", "ragged", "strings", "null", "huge-integer"])
+    def test_rejects_malformed_layout(self, obj):
+        with pytest.raises(InvalidInputError, match="^malformed cloud object: "):
+            cloud_from_dict(obj)

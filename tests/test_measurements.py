@@ -245,6 +245,17 @@ class TestMeasurementJson:
         with pytest.raises(InvalidInputError):
             measurement_from_dict({"n": 2, "l": 2, "matrix": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("key", ["n", "l"])
+    @pytest.mark.parametrize("size", [float("inf"), 2.5, True, "2", float("nan")])
+    def test_rejects_sizes_that_are_not_whole_numbers(self, key, size):
+        obj = {"n": 2, "l": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]], key: size}
+        with pytest.raises(InvalidInputError, match="^malformed measurement object: "):
+            measurement_from_dict(obj)
+
+    def test_whole_float_sizes_read_as_ints(self):
+        meas = measurement_from_dict({"n": 2.0, "l": 2.0, "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+        assert (meas.n, meas.l) == (2, 2)
+
     def test_rejects_invalid_member(self):
         with pytest.raises(NotAQuasiMeasurementError):
             measurement_from_dict({"n": 2, "l": 2, "matrix": [[2.0, 0.0], [0.0, 2.0]]})
