@@ -175,5 +175,5 @@ def state_set_from_dict(obj: dict) -> WeightedStateSet:
     """Parse the ``{"l", "points", "weights"}`` layout."""
     l, points, weights = _read_layout(obj, "state-set", ("l",), ("points", "weights"))
     if points.ndim != 2 or points.shape[1] != l:
-        raise InvalidInputError(f"points must be rows of length {l}")
+        raise InvalidInputError(f"points must be rows of length {l!r:.40}")
     return WeightedStateSet(points=points, weights=weights)

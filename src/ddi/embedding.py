@@ -266,7 +266,7 @@ def hermitian_from_dict(obj: dict) -> np.ndarray:
     d, re, im = _read_layout(obj, "operator", ("d",), ("re", "im"))
     if re.shape != (d, d) or im.shape != (d, d):
         raise InvalidInputError(
-            f"operator parts must be {d} x {d} matrices, got {re.shape} and {im.shape}")
+            f"operator parts must be {d!r:.40} x {d!r:.40} matrices, got {re.shape} and {im.shape}")
     a = np.empty((d, d), dtype=complex)
     a.real, a.imag = re, im
     return a

@@ -13,27 +13,12 @@ scale of the points is dropped.
 
 The solver is a barycentric coordinate ascent on the points lifted to
 homogeneous coordinates (the classic Khachiyan iteration, which handles
-the free center), sharpened with away and drop steps so the default
-duality gap of 1e-9 is reachable at desk scale.  Its weights are
-affine-invariant, so it runs on chart coordinates whitened by a thin QR,
-where the uniform lifted scatter is the identity: a badly scaled cloud
-converges like a well scaled one, and uniform weights that are already
-optimal (a simplex) are recognized without a solve.  It starts from
-uniform weights or from the extreme points of each whitened axis
-(Kumar and Yildirim's core set), whichever has the larger log det, and
-carries the inverse scatter and all leverages through each step by a
-Sherman-Morrison update, O(m d) per step (Todd and Yildirim).  Between
-refreshes the weights, the inverse scatter and the leverages are held up
-to one common factor, so a step moves one weight and rescales nothing.
-All are recomputed from scratch, the factor folded back, periodically
-and before the solver stops, so the reported gap is never a value the
-iteration carried along.  The ascent converges only linearly, so once
-the gap is at most 1e-1 and the support is small enough for its lifted
-rank-one terms to be independent (at most D(D + 1)/2 points in D lifted
-dimensions), every step starts from a fresh inverse and weight moves
-within the support by damped Newton steps of log det on the support's
-face (Sun and Freund's active set); a point still joins the support by a
-toward step.  The dual weights double as an optimality certificate.
+the free center), sharpened with away and drop steps, carried by
+rank-one updates (Todd and Yildirim) and finished by damped Newton steps
+on the support's face (Sun and Freund's active set);
+:func:`_khachiyan_weights` tells the iteration in full.  Every reported
+gap is computed from a fresh inverse.  The dual weights double as an
+optimality certificate.
 
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
@@ -201,9 +186,10 @@ def _affine_chart(points: np.ndarray):
     return _sign_fix_columns(vt[:rank].T), base
 
 
-# Leverages carried by rank-one updates drift by rounding; rebuild them
-# from a fresh inverse this often, and whenever an update would divide by
-# less than _MIN_DENOMINATOR (a drop step of an almost essential point).
+# Leverages carried by rank-one updates drift by rounding; a solver pass
+# rebuilds them from a fresh inverse after at most this many steps, or
+# sooner when an update would divide by less than _MIN_DENOMINATOR (a
+# drop step of an almost essential point).
 _REFRESH_STEPS = 64
 _MIN_DENOMINATOR = 1e-2
 # Below this gap, a support small enough for independent rank-one lifts
@@ -264,25 +250,36 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
 
     The weights are affine-invariant, so the iteration runs on whitened
     points, whose uniform lifted scatter is the identity; a thin QR keeps
-    that map as well conditioned as the points allow.  Uniform weights
-    are returned at once when they are optimal.  Otherwise the iteration
-    starts from them or from the extreme points of each whitened axis,
-    whichever has the larger log det, and carries the inverse scatter and
-    the leverages through each step by a rank-one update.  Between
-    refreshes all three are held up to one factor: the true weights are
-    ``scale * u``, the inverse scatter ``inverse / scale`` and the
-    leverages ``leverage / scale``, so a step moves ``scale`` and ``u[j]``
-    and rescales no array.  Each refresh normalizes ``u``, which folds the
-    factor back, and rebuilds the scatter from the support rows.
+    that map as well conditioned as the points allow, so a badly scaled
+    cloud converges like a well scaled one.  A simplex, ``D = d + 1``
+    points, is optimal at uniform weights and is returned without a step.
+    Otherwise the iteration starts from uniform weights or from the
+    extreme points of each whitened axis (Kumar and Yildirim's core set),
+    whichever has the larger log det, and runs in passes.
+
+    Each pass normalizes the weights and builds the inverse scatter, the
+    leverages and the support from them afresh.  The decisions to stop,
+    to switch to the face and to try a Newton step are made only on a
+    pass's first step, so they always read a fresh gap; a later step that
+    would need one of them ends the pass.  Within a pass at most
+    ``_REFRESH_STEPS`` toward, away or drop steps carry the inverse
+    scatter and the leverages by a Sherman-Morrison update, O(m d) per
+    step (Todd and Yildirim).  All three are held up to one factor: the
+    true weights are ``scale * u``, the inverse scatter ``inverse / scale``
+    and the leverages ``leverage / scale``, so a step moves ``scale`` and
+    ``u[j]`` and rescales no array; the next pass's normalization folds
+    the factor back.  A pass also ends when an update would divide by less
+    than ``_MIN_DENOMINATOR`` (a drop step of an almost essential point).
 
     The ascent converges only linearly.  Once the gap is at most
     ``_FACE_GAP`` and the support has at most ``D (D + 1) / 2`` points,
-    the most whose lifts ``a a^T`` can be independent, every step starts
-    from a fresh inverse.  Unless the step due is a toward step to a
-    point off the support, the damped Newton step on the support's face
+    the most whose lifts ``a a^T`` can be independent, every pass is one
+    step long.  Unless the step due is a toward step to a point off the
+    support, the damped Newton step on the support's face
     (:func:`_face_newton`) is tried first and taken when it raises the
-    log det; otherwise the toward, away or drop step is taken as before.
-    Newton steps count as iterations and against ``max_iter``.
+    log det; otherwise the toward, away or drop step is taken.  A point
+    thus joins the support only by a toward step.  Newton steps count as
+    iterations and against ``max_iter``.
     """
     m, d = x.shape
     dim = d + 1
@@ -296,11 +293,6 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     # whitened axes
     q = np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
     lifted = np.sqrt(m) * q
-    # uniform weights: the inverse scatter is the identity, no solve needed
-    leverage = np.einsum("ij,ij->i", lifted, lifted)
-    gap = max(leverage.max() / dim - 1.0, 1.0 - leverage.min() / dim)
-    if gap <= eps:
-        return u, gap, 0
     core = np.zeros(m)
     core[q[:, 1:].argmax(axis=0)] = 1.0
     core[q[:, 1:].argmin(axis=0)] = 1.0
@@ -308,76 +300,70 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     sign, logdet = np.linalg.slogdet(lifted.T @ (core[:, None] * lifted))
     if sign > 0 and logdet > 0.0:  # uniform weights have log det 0 here
         u = core
-    off_support = np.where(u > 0.0, 0.0, np.inf)
-    size = int(np.count_nonzero(u))
     face_size = dim * (dim + 1) // 2
     # the step product reads the points column by column
     columns = np.asfortranarray(lifted)
     iteration = 0
-    stale = _REFRESH_STEPS
     while True:
-        if stale >= _REFRESH_STEPS:
-            # normalizing folds the held factor back into the weights
-            u /= u.sum()
-            scale = 1.0
-            support = np.flatnonzero(u)
-            rows = lifted[support]
-            try:
-                inverse = np.linalg.inv(rows.T @ (u[support, None] * rows))
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateInputError(
-                    "support collapsed during the ellipsoid iteration") from exc
-            leverage = np.einsum("ij,ij->i", lifted @ inverse, lifted)
-            stale = 0
-        # between refreshes the weights are scale * u, the inverse scatter
-        # inverse / scale and the leverages leverage / scale
-        j_up = int(leverage.argmax())
-        up = float(leverage[j_up]) / scale
-        j_down = int((leverage + off_support).argmin())
-        down = float(leverage[j_down]) / scale
-        gap = max(up / dim - 1.0, 1.0 - down / dim)
-        face = gap <= _FACE_GAP and size <= face_size
-        toward = up / dim - 1.0 >= 1.0 - down / dim
-        if gap <= eps or iteration == max_iter or face:
-            if stale:
-                stale = _REFRESH_STEPS
-                continue
-            if gap <= eps or iteration == max_iter:
-                return u, gap, iteration
-            # a point joins the support only by a toward step; weight moves
-            # within the support by Newton steps
-            if not (toward and off_support[j_up]):
-                newton = _face_newton(lifted, inverse, u, support)
-                if newton is not None:
-                    u = newton
-                    off_support = np.where(u > 0.0, 0.0, np.inf)
-                    size = int(np.count_nonzero(u))
-                    iteration += 1
-                    stale = _REFRESH_STEPS
-                    continue
-        if toward:
-            j, lever = j_up, up
-            step = (lever - dim) / (dim * (lever - 1.0))
-        else:
-            j, lever = j_down, down
-            weight = scale * u[j]
-            bound = -weight / (1.0 - weight)
-            denom = dim * (lever - 1.0)
-            step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
-        # the weights become (1 - step) u + step e_j: the factor takes the
-        # 1 - step and only u[j] moves, the one weight that can change sign;
-        # the sum stays 1 up to rounding, which each refresh removes
-        was_in = u[j] > 0.0
-        scale *= 1.0 - step
-        ratio = step / scale
-        u[j] = max(u[j] + ratio, 0.0)
-        off_support[j] = 0.0 if u[j] > 0.0 else np.inf
-        size += int(u[j] > 0.0) - int(was_in)
-        iteration += 1
-        stale += 1
-        # Sherman-Morrison for the held scatter plus ratio a_j a_j^T
-        denominator = 1.0 + ratio * float(leverage[j])
-        if not face and stale < _REFRESH_STEPS and denominator >= _MIN_DENOMINATOR:
+        # normalizing folds the held factor back into the weights
+        u /= u.sum()
+        scale = 1.0
+        support = np.flatnonzero(u)
+        rows = lifted[support]
+        try:
+            inverse = np.linalg.inv(rows.T @ (u[support, None] * rows))
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateInputError(
+                "support collapsed during the ellipsoid iteration") from exc
+        leverage = np.einsum("ij,ij->i", lifted @ inverse, lifted)
+        off_support = np.where(u > 0.0, 0.0, np.inf)
+        size = support.size
+        for step_index in range(_REFRESH_STEPS):
+            j_up = int(leverage.argmax())
+            up = float(leverage[j_up]) / scale
+            j_down = int((leverage + off_support).argmin())
+            down = float(leverage[j_down]) / scale
+            gap = max(up / dim - 1.0, 1.0 - down / dim)
+            face = gap <= _FACE_GAP and size <= face_size
+            toward = up / dim - 1.0 >= 1.0 - down / dim
+            if gap <= eps or iteration == max_iter or face:
+                if step_index:
+                    break
+                if gap <= eps or iteration == max_iter:
+                    return u, gap, iteration
+                # a point joins the support only by a toward step; weight
+                # moves within the support by Newton steps
+                if not (toward and off_support[j_up]):
+                    newton = _face_newton(lifted, inverse, u, support)
+                    if newton is not None:
+                        u = newton
+                        iteration += 1
+                        break
+            if toward:
+                j, lever = j_up, up
+                step = (lever - dim) / (dim * (lever - 1.0))
+            else:
+                j, lever = j_down, down
+                weight = scale * u[j]
+                bound = -weight / (1.0 - weight)
+                denom = dim * (lever - 1.0)
+                step = bound if denom <= 0.0 else max((lever - dim) / denom, bound)
+            # the weights become (1 - step) u + step e_j: the factor takes
+            # the 1 - step and only u[j] moves, the one weight that can
+            # change sign; the sum stays 1 up to rounding, which the next
+            # pass removes
+            was_in = u[j] > 0.0
+            scale *= 1.0 - step
+            ratio = step / scale
+            u[j] = max(u[j] + ratio, 0.0)
+            off_support[j] = 0.0 if u[j] > 0.0 else np.inf
+            size += int(u[j] > 0.0) - int(was_in)
+            iteration += 1
+            # Sherman-Morrison for the held scatter plus ratio a_j a_j^T;
+            # the pass's last step skips it, as the next pass starts afresh
+            denominator = 1.0 + ratio * float(leverage[j])
+            if face or step_index == _REFRESH_STEPS - 1 or denominator < _MIN_DENOMINATOR:
+                break
             column = inverse @ lifted[j]
             cross = columns @ column
             coef = ratio / denominator
@@ -385,33 +371,28 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
             cross *= cross
             cross *= coef
             leverage -= cross
-        else:
-            stale = _REFRESH_STEPS
 
 
 def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) -> Ellipsoid:
     """Minimum-volume enclosing ellipsoid of the cloud, center free.
 
     The problem is solved in an orthonormal chart of the cloud's affine
-    hull, whose dimension is ``span_dim - 1``.  The solver works on
-    whitened chart coordinates, starts from uniform weights or a core set
-    of extreme points, whichever has the larger log det, and updates its
-    leverages by rank one, holding weights, inverse and leverages up to
-    one factor between refreshes.  Once the gap is at most 1e-1 on a
-    support of at most ``D (D + 1) / 2`` points, ``D = span_dim``, it
-    finishes with Newton steps on the support's face, each from a fresh
-    inverse and each counted in ``iterations`` and against ``max_iter``.
+    hull, whose dimension is ``span_dim - 1``, by :func:`_khachiyan_weights`.
     ``root`` and ``center`` are built from the returned weights in the
-    original chart.  ``optimality_gap`` is computed from a fresh inverse
-    at those weights, converged or not.  On convergence every point is
-    inside within a ``(1 + eps)`` inflation and shrinking any semi-axis by
-    more than about ``10 * eps`` ejects at least one point.
+    original chart.  ``optimality_gap`` is the relative duality gap
+    computed from a fresh inverse at those weights, converged or not.
+    ``iterations`` counts the steps that moved the weights: toward, away
+    and drop steps and Newton steps on the support's face, each against
+    ``max_iter``; a simplex of ``span_dim`` points takes none.  On
+    convergence every point is inside within a ``(1 + eps)`` inflation
+    and shrinking any semi-axis by more than about ``10 * eps`` ejects at
+    least one point.
 
     Raises
     ------
     NoConvergenceError
         When ``max_iter`` steps do not reach the gap; the exception's
-        ``partial`` is the best ellipsoid found, with the achieved gap.
+        ``partial`` is the ellipsoid at the last weights, with their gap.
     """
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be positive and finite, got {eps}")
@@ -592,5 +573,5 @@ def cloud_from_dict(obj: dict, sum_tol: float = DEFAULT_TOL) -> ProbabilityCloud
     """Parse the ``{"n", "distributions"}`` layout."""
     n, points = _read_layout(obj, "cloud", ("n",), ("distributions",))
     if points.ndim != 2 or points.shape[1] != n:
-        raise InvalidInputError(f"distributions must be rows of length {n}")
+        raise InvalidInputError(f"distributions must be rows of length {n!r:.40}")
     return ProbabilityCloud(points, sum_tol=sum_tol)

@@ -158,5 +158,6 @@ def measurement_from_dict(obj: dict) -> QuasiMeasurement:
     """Parse and validate the ``{"n", "l", "matrix"}`` layout."""
     n, l, matrix = _read_layout(obj, "measurement", ("n", "l"), ("matrix",))
     if matrix.shape != (n, l):
-        raise InvalidInputError(f"matrix shape {matrix.shape} does not match n={n}, l={l}")
+        raise InvalidInputError(
+            f"matrix shape {matrix.shape} does not match n={n!r:.40}, l={l!r:.40}")
     return validate(matrix)

@@ -235,18 +235,17 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``M^+ M = eye(l)`` within ``tol`` in spectral norm.
+    """True when ``M`` has full column rank relative to ``tol``.
 
     Read off the measurement's SVD: with singular values of at most
     ``tol`` times the largest cut, ``M^+ M`` projects onto the kept
     right singular vectors.  That is the identity when all ``l`` are
-    kept, and otherwise a projector at spectral distance 1 from it.
+    kept, and otherwise a projector at spectral distance 1 from it, so
+    for ``tol < 1`` this is ``M^+ M = eye(l)`` within ``tol`` in spectral
+    norm.  A ``tol`` of 1 or more cuts every measurement and refuses it.
     """
-    if meas.n < meas.l:
-        return False
     sv = meas._svd[1]
-    distance = 0.0 if sv[-1] > tol * sv[0] else 1.0
-    return distance <= tol
+    return meas.n >= meas.l and bool(sv[-1] > tol * sv[0])
 
 
 def pseudoinverse_closure_check(meas: QuasiMeasurement) -> bool:
@@ -368,11 +367,12 @@ def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
                       tol: float = DEFAULT_TOL) -> bool:
     """Is every cloud point inside the range of the measurement?
 
-    Requires informational completeness.  Checks that each distribution
-    is reproduced by ``M M^+`` within ``tol`` and that its counter-image
-    lies in the state ball within ``tol``.
+    Requires informational completeness at ``DEFAULT_TOL``, the cut that
+    :meth:`~ddi.measurements.QuasiMeasurement.pinv` applies.  Checks that
+    each distribution is reproduced by ``M M^+`` within ``tol`` and that
+    its counter-image lies in the state ball within ``tol``.
     """
-    if not is_informationally_complete(meas, max(tol, DEFAULT_TOL)):
+    if not is_informationally_complete(meas):
         raise InvalidInputError("feasibility check requires an informationally complete measurement")
     return _reproduces(meas.matrix, cloud.points @ meas.pinv().T, cloud.points, tol)
 

@@ -26,6 +26,13 @@ HALVES_CLOUD = {"n": 3, "distributions": [[0.5, 0.5, 0.0],
 
 MIXED_QUBIT = {"d": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
 MIXED_QUTRIT = {"d": 3, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()}
+# one layout per command that reads a size; each file is valid with size 2
+SIZE_TEMPLATES = [
+    ("infer", '{"n": %s, "distributions": [[1, 0], [0, 1]]}'),
+    ("verify-design", '{"l": %s, "points": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}'),
+    ("embed", '[{"d": %s, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}]'),
+]
+SIZE_COMMANDS = [command for command, _ in SIZE_TEMPLATES]
 
 
 def write_json(path, obj):
@@ -472,14 +479,10 @@ class TestSubprocessEntry:
         assert run.stderr.startswith(f"error: cannot read JSON from {inp}: ")
         assert "Traceback" not in run.stderr and run.stdout == ""
 
-    @pytest.mark.parametrize("command, template", [
-        ("infer", '{"n": %s, "distributions": [[1, 0], [0, 1]]}'),
-        ("verify-design", '{"l": %s, "points": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}'),
-        ("embed", '[{"d": %s, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}]'),
-    ], ids=["infer", "verify-design", "embed"])
+    @pytest.mark.parametrize("command, template", SIZE_TEMPLATES, ids=SIZE_COMMANDS)
     @pytest.mark.parametrize("size", ["1e999", "2.5", "true", '"3"', "NaN"])
     def test_malformed_size_is_invalid_input(self, tmp_path, command, template, size):
-        # each file is valid with size 2; JSON 1e999 parses as inf
+        # JSON 1e999 parses as inf
         inp = tmp_path / "input.json"
         inp.write_text(template % size, encoding="utf-8")
         run = subprocess.run([sys.executable, "-m", "ddi.cli", command, str(inp)],
@@ -488,6 +491,17 @@ class TestSubprocessEntry:
         assert len(run.stderr.splitlines()) == 1
         assert re.match(r"error: malformed [a-z-]+ object: ", run.stderr)
         assert "Traceback" not in run.stderr and run.stdout == ""
+
+    @pytest.mark.parametrize("command, template", SIZE_TEMPLATES, ids=SIZE_COMMANDS)
+    def test_a_long_wrong_size_prints_a_short_message(self, tmp_path, command, template):
+        # a whole size that matches no shape; its 4000 digits are cut in the message
+        inp = tmp_path / "input.json"
+        inp.write_text(template % ("9" * 4000), encoding="utf-8")
+        run = subprocess.run([sys.executable, "-m", "ddi.cli", command, str(inp)],
+                             capture_output=True)
+        assert run.returncode == EXIT_INVALID_INPUT
+        assert len(run.stderr.splitlines()) == 1 and len(run.stderr) < 200
+        assert run.stdout == b""
 
     def test_infer_and_simulate_load_no_scipy(self, tmp_path):
         # a fresh interpreter, since the test helpers import scipy; with

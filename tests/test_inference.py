@@ -324,20 +324,28 @@ class TestMvee:
         assert abs(duality_gap_dense(cloud, partial.support_weights)
                    - partial.optimality_gap) <= 1e-12
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_returned_gap_is_the_fresh_gap_bit_for_bit(self, seed):
+    @pytest.mark.parametrize("cloud, partial_at", [
         # about 190 of the 200 points carry weight, more than the 45 whose
         # lifts can be independent: no Newton step is tried, and the last
         # steps are rank-one updates, whose carried gap differs in the last
         # places from the one a fresh inverse gives
-        cloud = qutrit_cloud(seed)
+        *[(qutrit_cloud(seed), (3, 15, 50)) for seed in (0, 1, 2)],
+        # uniform weights are optimal: the first pass stops at them, with
+        # no iteration, so there is no partial to check
+        (ProbabilityCloud(design_union(5, np.random.default_rng(1))), ()),
+        # finished by Newton steps on the support's face after 16 iterations
+        (dirichlet_cloud(300, 8, 1), (3, 15)),
+    ], ids=["qutrit-0", "qutrit-1", "qutrit-2", "design-union", "dirichlet-300x8"])
+    def test_returned_gap_is_the_fresh_gap_bit_for_bit(self, cloud, partial_at):
         x = chart_coordinates(cloud)
         e = mvee(cloud)
         assert e.optimality_gap == solver_gap(x, e.support_weights)
-        with pytest.raises(NoConvergenceError) as info:
-            mvee(cloud, max_iter=50)
-        partial = info.value.partial
-        assert partial.optimality_gap == solver_gap(x, partial.support_weights)
+        for max_iter in partial_at:
+            with pytest.raises(NoConvergenceError) as info:
+                mvee(cloud, max_iter=max_iter)
+            partial = info.value.partial
+            assert partial.iterations == max_iter
+            assert partial.optimality_gap == solver_gap(x, partial.support_weights)
 
     def test_matches_dense_reference_iteration(self):
         rng = np.random.default_rng(32)
@@ -654,6 +662,18 @@ class TestFeasibility:
         cloud = ProbabilityCloud(np.eye(2))
         with pytest.raises(InvalidInputError):
             feasibility_check(validate(np.diag([1.0, 0.0])), cloud)
+        # a loose reproduction tolerance does not loosen the rank cut
+        with pytest.raises(InvalidInputError):
+            feasibility_check(validate(np.diag([1.0, 0.0])), cloud, 1.0)
+
+    def test_completeness_is_cut_at_the_pseudoinverse_cut(self):
+        # sv[-1] / sv[0] = 5e-9: complete at DEFAULT_TOL (1e-9), the cut the
+        # pseudoinverse applies, though not at the tolerance of 1e-8, which
+        # sets only the reproduction and ball slack
+        matrix = np.array([[1.0, 1.0 - 1e-8], [0.0, 1e-8]])
+        meas = validate(matrix)
+        assert not is_informationally_complete(meas, tol=1e-8)
+        assert feasibility_check(meas, ProbabilityCloud(matrix.T.copy()), 1e-8)
 
     def test_factorizes_each_fresh_measurement_once(self, monkeypatch):
         rng = np.random.default_rng(20)

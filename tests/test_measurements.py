@@ -117,6 +117,13 @@ class TestInformationalCompleteness:
     def test_rank_deficient_square_is_not(self):
         assert not is_informationally_complete(validate(np.diag([1.0, 0.0])))
 
+    @pytest.mark.parametrize("tol", [1.0, 2.0])
+    def test_a_cut_of_one_or_more_refuses_every_measurement(self, tol):
+        # every singular value is at most tol times the largest, so all are
+        # cut, rank 2 of 4 as well as full rank
+        assert not is_informationally_complete(random_quasi_measurement(5, 4, 2, seed=1), tol=tol)
+        assert not is_informationally_complete(validate(np.eye(5)), tol=tol)
+
     def test_complete_members_act_on_all_hyperplane_states(self):
         rng = np.random.default_rng(2)
         meas = random_ic_quasi_measurement(6, 4, rng)
@@ -244,6 +251,13 @@ class TestMeasurementJson:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             measurement_from_dict({"n": 2, "l": 2, "matrix": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("key", ["n", "l"])
+    def test_a_long_wrong_size_gives_a_short_message(self, key):
+        obj = {"n": 2, "l": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]], key: int("9" * 4000)}
+        with pytest.raises(InvalidInputError) as info:
+            measurement_from_dict(obj)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("key", ["n", "l"])
     @pytest.mark.parametrize("size", [float("inf"), 2.5, True, "2", float("nan")])
