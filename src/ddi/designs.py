@@ -113,20 +113,21 @@ def frame_operator(states: WeightedStateSet) -> np.ndarray:
 
 
 def _frame(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    f = (points.T * weights) @ points
-    return (f + f.T) / 2.0
+    """Symmetrized frame operator of ``(..., m, l)`` points with ``(..., m)`` weights."""
+    f = (points.swapaxes(-1, -2) * weights[..., None, :]) @ points
+    return (f + f.swapaxes(-1, -2)) / 2.0
 
 
-def _frame_deviation(frame: np.ndarray) -> float:
-    """Spectral-norm distance of a symmetric frame operator from ``eye(l) / l``.
+def _frame_deviation(frame: np.ndarray) -> np.ndarray:
+    """Spectral-norm distance of symmetric frame operators from ``eye(l) / l``.
 
-    The excess is symmetric, so its spectral norm is its largest
-    ``|eigenvalue|``.
+    ``frame`` may carry leading stack axes, each ``l x l`` slice measured
+    on its own.  The excess is symmetric, so its spectral norm is its
+    largest ``|eigenvalue|``.
     """
-    l = frame.shape[0]
-    excess = frame.copy()
-    excess.ravel()[:: l + 1] -= 1.0 / l
-    return float(np.abs(np.linalg.eigvalsh(excess)).max())
+    l = frame.shape[-1]
+    excess = frame - np.eye(l) / l
+    return np.abs(np.linalg.eigvalsh(excess)).max(axis=-1)
 
 
 def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCertificate:
@@ -139,7 +140,7 @@ def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignC
     # the sums of squares norm(points, axis=1) takes, without its wrapper
     norms = np.sqrt((points * points).sum(axis=1))
     sphere_deviation = float(np.abs(norms - 1.0).max())
-    frame_deviation = _frame_deviation(frame_operator(states))
+    frame_deviation = float(_frame_deviation(frame_operator(states)))
     return DesignCertificate(
         is_design=max(sphere_deviation, frame_deviation) <= tol,
         frame_deviation=frame_deviation,

@@ -77,6 +77,16 @@ def hyperplane_basis(l: int) -> np.ndarray:
     return cols
 
 
+def _whole_number(value) -> int | None:
+    """``value`` as an int when it is a whole, finite number, else None.
+
+    ``2.0`` reads as 2; ``True``, ``"3"``, ``2.5``, ``NaN`` and ``1e999`` do not.
+    """
+    if isinstance(value, float) and value.is_integer():  # false for nan and inf
+        value = int(value)
+    return value if type(value) is int else None  # bool is a subclass of int
+
+
 def _read_layout(obj, kind: str, sizes: tuple[str, ...], arrays: tuple[str, ...]) -> list:
     """Each size of a parsed JSON layout as an int, then each array as floats.
 
@@ -90,11 +100,10 @@ def _read_layout(obj, kind: str, sizes: tuple[str, ...], arrays: tuple[str, ...]
         raise InvalidInputError(f"{malformed}need a JSON object with keys {', '.join(keys)}")
     read = []
     for key in sizes:
-        size = obj[key]
-        if isinstance(size, float) and size.is_integer():  # false for nan and inf
-            size = int(size)
-        if type(size) is not int:  # bool is a subclass of int
-            raise InvalidInputError(f"{malformed}{key} must be a whole number, got {size!r:.40}")
+        size = _whole_number(obj[key])
+        if size is None:
+            raise InvalidInputError(
+                f"{malformed}{key} must be a whole number, got {obj[key]!r:.40}")
         read.append(size)
     for key in arrays:
         try:

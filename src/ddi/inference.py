@@ -37,8 +37,9 @@ Optimality has a sharp witness: the counter-image of the cloud under the
 optimal measurement, weighted by the solver's dual weights, satisfies
 the frame condition sum_j u_j s_j s_j^T = I/l, and its support lies on
 the pure-state sphere, so it is a weighted 2-design.  Every result
-therefore carries the counter-image with those weights and its design
-certificate from :func:`ddi.designs.certify_design`.  The closed form
+therefore carries the counter-image with those weights; its design
+certificate, from :func:`ddi.designs.certify_design`, is computed on
+first read.  The closed form
 for clouds of exactly ``l`` points and the checks of the theory behind
 the map (volume bound, consistency bijection, round trip) live in
 :mod:`ddi.verify`.
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -423,15 +425,24 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
 
 @dataclass(frozen=True)
 class DdiResult:
-    """Outcome of the inference map on one cloud."""
+    """Outcome of the inference map on one cloud.
+
+    ``design_certificate`` is :func:`~ddi.designs.certify_design` of the
+    counter-image at ``design_tol``, computed on first read and then kept;
+    a result whose certificate is never read never computes it.
+    """
 
     measurement: QuasiMeasurement
     volume_sq: float
     counter_image: WeightedStateSet
-    design_certificate: DesignCertificate
+    design_tol: float
     gauge_note: str
     optimality_gap: float
     iterations: int
+
+    @cached_property
+    def design_certificate(self) -> DesignCertificate:
+        return certify_design(self.counter_image, self.design_tol)
 
     def to_dict(self) -> dict:
         return {
@@ -480,10 +491,10 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     The counter-image carries the solver's dual weights
     ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid
     root is built from those weights, so their frame operator is
-    ``eye(l) / l`` up to rounding, converged or not.  The certificate is
-    :func:`certify_design` of that counter-image, so ``is_design`` holds
-    when every point is also on the sphere, that is, when the optimum is
-    tight.
+    ``eye(l) / l`` up to rounding, converged or not.  The certificate,
+    computed on first read, is :func:`certify_design` of that
+    counter-image at ``design_tol``, so ``is_design`` holds when every
+    point is also on the sphere, that is, when the optimum is tight.
 
     Used by :func:`ddi_on_ball` on converged ellipsoids and by callers
     that want to salvage the partial ellipsoid of a
@@ -540,7 +551,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
         measurement=QuasiMeasurement(matrix=matrix),
         volume_sq=float(np.prod(sv * sv)),
         counter_image=counter_image,
-        design_certificate=certify_design(counter_image, design_tol),
+        design_tol=design_tol,
         gauge_note=GAUGE_NOTE,
         optimality_gap=ellipsoid.optimality_gap,
         iterations=ellipsoid.iterations,

@@ -8,8 +8,9 @@ closure and determinant-factorization checks; the closed form for
 clouds of exactly ``l`` points; range membership, the volume bound
 ``det(M^T M) >= 1`` for square measurements enclosing a design, the
 consistency bijection under composition, the generate-infer-compare
-round trip, which checks that every cloud it solves is a simplex, and
-the random enclosing samplers.  None of it is on the inference path,
+round trip, which checks that every cloud it solves is a simplex and
+draws its perturbed simplices in one stacked pass, and the random
+enclosing samplers.  None of it is on the inference path,
 and ``ddi infer`` never imports it.
 """
 
@@ -30,13 +31,13 @@ from .errors import (
     NotPureStateError,
     PreconditionViolatedError,
 )
-from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _whole_number, ball_radius, hyperplane_basis
 from .designs import (
+    DESIGN_TOL,
     DesignCertificate,
     WeightedStateSet,
     _frame,
     _frame_deviation,
-    certify_design,
     is_two_design,
 )
 from .inference import GAUGE_NOTE, DdiResult, ProbabilityCloud, ddi_on_ball
@@ -169,22 +170,44 @@ def haar_average_estimate(s: np.ndarray, samples: int,
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares, ``argmin |a x - b|`` over ``x >= 0``.
 
-    With no more columns than rows, the fit starts from the unconstrained
-    minimizer of the normal equations: where that is positive it is the
-    optimum, since the KKT conditions hold with no bound active.  Otherwise
-    Lawson and Hanson's active-set loop runs from zero (*Solving Least
-    Squares Problems*, 1974), with a least-squares solve over the free
-    columns at each step.
+    ``a`` may carry leading stack axes, each ``n x m`` slice fit to ``b``
+    on its own.  With no more columns than rows, every fit starts from the
+    unconstrained minimizer of its normal equations, all solved in one
+    stacked call: where that is positive it is the optimum, since the KKT
+    conditions hold with no bound active.  Otherwise, or when the Gram
+    matrix is singular, Lawson and Hanson's active-set loop runs from zero
+    (:func:`_lawson_hanson`).
+    """
+    *lead, n, m = a.shape
+    a = a.reshape(-1, n, m)
+    x = np.zeros((len(a), m))
+    if m <= n:
+        at = a.swapaxes(-1, -2)
+        gram, rhs = at @ a, (at @ b)[..., None]
+        try:
+            x = np.linalg.solve(gram, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            # a singular Gram matrix has no unique minimizer: that fit starts
+            # at zero, the others from their own solves
+            for i in range(len(a)):
+                try:
+                    x[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+    for i in np.flatnonzero(~(x.min(axis=-1) > 0.0)):
+        x[i] = _lawson_hanson(a[i], b)
+    return x.reshape(*lead, m)
+
+
+def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson and Hanson's active-set loop for :func:`_nnls`, from zero.
+
+    Each step adds the free column of largest gradient and takes a
+    least-squares solve over the free columns (*Solving Least Squares
+    Problems*, 1974).
     """
     n, m = a.shape
     x = np.zeros(m)
-    if m <= n:
-        try:
-            start = np.linalg.solve(a.T @ a, a.T @ b)
-        except np.linalg.LinAlgError:  # a singular Gram matrix has no unique minimizer
-            start = x
-        if start.min() > 0.0:
-            return start
     passive = np.zeros(m, dtype=bool)
     tol = 10 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(n, m)
     for _ in range(3 * m):
@@ -223,14 +246,21 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must form an (m, l) array")
-    m, l = points.shape
-    system = np.einsum("mi,mj->mij", points, points).reshape(m, l * l).T
-    weights = _nnls(system, (np.eye(l) / l).ravel())
-    total = weights.sum()
-    if total <= 1e-12:
-        weights = np.full(m, 1.0 / m)
-    else:
-        weights = weights / total
+    weights, deviation = _design_fit(points)
+    return weights, float(deviation)
+
+
+def _design_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`design_weights` of each ``(m, l)`` slice of ``(..., m, l)`` points.
+
+    A fit that finds no weight at all falls back to uniform weights.
+    """
+    *lead, m, l = points.shape
+    system = np.einsum("...mi,...mj->...mij", points, points).reshape(*lead, m, l * l)
+    weights = _nnls(system.swapaxes(-1, -2), (np.eye(l) / l).ravel())
+    total = weights.sum(axis=-1, keepdims=True)
+    weights = np.divide(weights, total, out=np.full_like(weights, 1.0 / m),
+                        where=total > 1e-12)
     return weights, _frame_deviation(_frame(points, weights))
 
 
@@ -356,7 +386,7 @@ def ddi_closed_form(cloud: ProbabilityCloud) -> DdiResult:
         measurement=meas,
         volume_sq=range_volume_sq(meas),
         counter_image=counter,
-        design_certificate=certify_design(counter),
+        design_tol=DESIGN_TOL,
         gauge_note=GAUGE_NOTE + "; columns follow the input distribution order",
         optimality_gap=0.0,
         iterations=0,
@@ -530,31 +560,51 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     return True
 
 
-def _perturbed_simplex(l: int, rng: np.random.Generator):
-    """Pure-state simplex perturbation that fails design certification.
+def _perturbed_simplices(l: int, count: int, rng: np.random.Generator):
+    """``count`` pure-state simplex perturbations that fail design certification.
 
-    Moves each standard-basis point along the sphere and keeps drawing
-    until the best weighting over the moved points still misses the
-    frame condition by at least ``_MIN_DESIGN_DEVIATION``.
+    Moves each standard-basis point along the sphere, all ``count``
+    simplices in one stacked draw, and redraws together every simplex with
+    a point too near the ball's center, with nearly dependent points, or
+    whose best weighting meets the frame condition within
+    ``_MIN_DESIGN_DEVIATION``, for at most 64 rounds.  Returns the
+    ``(count, l, l)`` points and the ``(count,)`` design deviations.  At
+    ``l = 2`` the pure states are two points, so no perturbation can miss
+    the design and :class:`DegenerateInputError` is raised before any draw.
     """
+    if count and l == 2:
+        raise DegenerateInputError(
+            "at l = 2 the pure states are two points, so no perturbed simplex "
+            "can miss the design")
     tangent = hyperplane_basis(l)
     radius = ball_radius(l)
     x = (np.eye(l) - np.ones(l) / l) @ tangent
+    points = np.empty((count, l, l))
+    deviations = np.empty(count)
+    done = np.zeros(count, dtype=bool)
     for _ in range(64):
-        moved = x + _PERTURBATION_SCALE * rng.standard_normal(x.shape)
-        norms = np.sqrt((moved * moved).sum(axis=1))
-        if norms.min() < 1e-9:
-            continue
-        moved *= radius / norms[:, None]
-        points = np.ones(l) / l + moved @ tangent.T
-        sv = np.linalg.svd(points, compute_uv=False)
-        if sv[-1] <= 1e-6 * sv[0]:
-            continue
-        _, deviation = design_weights(points)
-        if deviation >= _MIN_DESIGN_DEVIATION:
-            return points, float(deviation)
-    raise DegenerateInputError(
-        "could not draw a perturbed simplex beyond the requested deviation")
+        if done.all():
+            break
+        pending = np.flatnonzero(~done)
+        moved = x + _PERTURBATION_SCALE * rng.standard_normal((pending.size, l, l - 1))
+        norms = np.sqrt((moved * moved).sum(axis=-1))
+        kept = norms.min(axis=-1) >= 1e-9
+        moved, norms, slots = moved[kept], norms[kept], pending[kept]
+        moved *= radius / norms[..., None]
+        candidates = np.ones(l) / l + moved @ tangent.T
+        sv = np.linalg.svd(candidates, compute_uv=False)
+        kept = sv[:, -1] > 1e-6 * sv[:, 0]
+        candidates, slots = candidates[kept], slots[kept]
+        _, deviation = _design_fit(candidates)
+        kept = deviation >= _MIN_DESIGN_DEVIATION
+        slots = slots[kept]
+        points[slots] = candidates[kept]
+        deviations[slots] = deviation[kept]
+        done[slots] = True
+    if not done.all():
+        raise DegenerateInputError(
+            "could not draw a perturbed simplex beyond the requested deviation")
+    return points, deviations
 
 
 @dataclass(frozen=True)
@@ -597,19 +647,30 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets that fail design certification by at least
-    1e-3; for each the report stores the relative excess of the input
-    measurement's volume over the new minimum.  A positive excess means
-    consistency through a non-design counter-image costs volume.
+    1e-3, all drawn in one stacked pass; for each the report stores that
+    deviation and the relative excess of the input measurement's volume
+    over the new minimum.  A positive excess means consistency through a
+    non-design counter-image costs volume.  Only the volumes of those
+    solves are read, so their design certificates are never computed.
+    ``perturbations`` must be a whole number >= 0 (``2.0`` reads as 2;
+    ``True``, ``2.5`` and ``-1`` raise :class:`InvalidInputError`).  At
+    ``l = 2`` the pure states are two points and no kick can miss the
+    design, so any perturbation raises :class:`DegenerateInputError`
+    before a draw is taken.
     """
+    count = _whole_number(perturbations)
+    if count is None or count < 0:
+        raise InvalidInputError(
+            f"perturbations must be a whole number >= 0, got {perturbations!r:.40}")
     try:
         expected = range_volume_sq(meas)
     except DegenerateRangeError as exc:
         raise InvalidInputError(
             "round trip requires an informationally complete measurement") from exc
     rng = np.random.default_rng(seed)
-    perturbed = [_perturbed_simplex(meas.l, rng) for _ in range(int(perturbations))]
+    perturbed, deviations = _perturbed_simplices(meas.l, count, rng)
     cloud = ProbabilityCloud(meas.matrix.T)
-    perturbed_clouds = [ProbabilityCloud(points @ meas.matrix.T) for points, _ in perturbed]
+    perturbed_clouds = [ProbabilityCloud(points @ meas.matrix.T) for points in perturbed]
     span = min(c.span_dim for c in [cloud, *perturbed_clouds])
     if span != meas.l:
         raise InvalidInputError(
@@ -634,5 +695,5 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
         iterations=result.iterations,
         perturbed_excess=tuple(expected / ddi_on_ball(c).volume_sq - 1.0
                                for c in perturbed_clouds),
-        perturbed_deviation=tuple(deviation for _, deviation in perturbed),
+        perturbed_deviation=tuple(map(float, deviations)),
     )

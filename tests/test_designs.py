@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddi import (
+    DegenerateInputError,
     InvalidInputError,
     InvalidRotationError,
     NotPureStateError,
@@ -17,6 +18,8 @@ from ddi import (
 )
 from ddi import verify
 from ddi.designs import certify_design, state_set_from_dict, state_set_to_dict
+
+from helpers import count_linalg_calls
 
 
 def union(sets_and_weights):
@@ -299,29 +302,140 @@ class TestDesignWeights:
         _, dev = design_weights(np.eye(3)[:2])
         assert dev > 1e-3
 
+    def test_stacked_fit_is_each_fit_alone(self):
+        # a repeated point makes the middle Gram matrix singular, so the
+        # stacked solve fails; every slice is still fit as it is alone
+        stack, _ = verify._perturbed_simplices(4, 3, np.random.default_rng(12))
+        stack[1, 3] = stack[1, 0]
+        weights, deviations = verify._design_fit(stack)
+        for points, w, deviation in zip(stack, weights, deviations):
+            alone = design_weights(points)
+            np.testing.assert_array_equal(w, alone[0])
+            assert deviation == alone[1]
+        assert deviations[1] > 1e-3 and max(deviations[[0, 2]]) < 1.0
+
     def test_each_perturbed_simplex_fit_is_one_solve(self, monkeypatch):
-        # a kicked simplex keeps a positive unconstrained fit, so no
-        # active-set step should follow the first solve
-        solves = []
-        for name in ("solve", "lstsq"):
-            def counted(*args, _original=getattr(np.linalg, name), **kwargs):
-                solves.append(1)
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # kicked simplices keep positive unconstrained fits, so one stacked
+        # solve fits every simplex of a draw and no active-set step follows
+        counts = count_linalg_calls(monkeypatch, "solve", "lstsq")
         fits = []
-        fit = verify.design_weights
+        fit = verify._design_fit
 
         def counted_fit(points):
-            before = len(solves)
+            before = dict(counts)
             result = fit(points)
-            fits.append(len(solves) - before)
+            fits.append((len(points), counts["solve"] - before["solve"],
+                         counts["lstsq"] - before["lstsq"]))
             return result
 
-        monkeypatch.setattr(verify, "design_weights", counted_fit)
+        monkeypatch.setattr(verify, "_design_fit", counted_fit)
         rng = np.random.default_rng(23)
         for draw in range(100):
-            verify._perturbed_simplex(int(rng.integers(3, 10)), rng)
-        assert len(fits) >= 100 and set(fits) == {1}
+            count = int(rng.integers(1, 6))
+            del fits[:]
+            verify._perturbed_simplices(int(rng.integers(3, 10)), count, rng)
+            assert fits == [(count, 1, 0)]
+
+
+class TestPerturbedSimplices:
+    @staticmethod
+    def draws_taken(rng, seed, l):
+        """Simplices' worth of normals ``rng`` has drawn since it was seeded."""
+        fresh = np.random.default_rng(seed)
+        for taken in range(1000):
+            if fresh.bit_generator.state == rng.bit_generator.state:
+                return taken
+            fresh.standard_normal((l, l - 1))
+        raise AssertionError("stream position not found")
+
+    def test_stacked_draw_is_the_sequential_draw(self):
+        # with nothing redrawn the stacked normals are k sequential draws, and
+        # each returned deviation is design_weights' on its simplex, bit for bit
+        for l in range(3, 13):
+            for seed in range(12):
+                count = 1 + seed % 5
+                rng = np.random.default_rng(seed)
+                points, deviations = verify._perturbed_simplices(l, count, rng)
+                assert points.shape == (count, l, l) and deviations.shape == (count,)
+                assert self.draws_taken(rng, seed, l) == count
+                single = np.random.default_rng(seed)
+                for i in range(count):
+                    alone, deviation = verify._perturbed_simplices(l, 1, single)
+                    np.testing.assert_array_equal(points[i], alone[0])
+                    assert deviations[i] == deviation[0] == design_weights(points[i])[1]
+                    assert deviations[i] >= 1e-3
+                np.testing.assert_allclose(np.linalg.norm(points, axis=-1), 1.0, atol=1e-12)
+                np.testing.assert_allclose(points.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_a_failed_simplex_is_redrawn_alone(self, monkeypatch):
+        # the middle simplex of the first draw is made to meet the frame
+        # condition: only it is drawn again, from the next normals
+        fit = verify._design_fit
+        seen = []
+
+        def fit_once_failing(points):
+            weights, deviation = fit(points)
+            seen.append(points.copy())
+            if len(seen) == 1:
+                deviation[1] = 0.0
+            return weights, deviation
+
+        monkeypatch.setattr(verify, "_design_fit", fit_once_failing)
+        rng = np.random.default_rng(4)
+        points, deviations = verify._perturbed_simplices(5, 3, rng)
+        assert [len(p) for p in seen] == [3, 1]
+        np.testing.assert_array_equal(points[[0, 2]], seen[0][[0, 2]])
+        np.testing.assert_array_equal(points[1], seen[1][0])
+        assert self.draws_taken(rng, 4, 5) == 4
+        assert all(d == design_weights(p)[1] for p, d in zip(points, deviations))
+
+    def test_a_draw_failing_the_rank_test_is_drawn_again(self, monkeypatch):
+        # the first draw's rank test fails for every simplex, so the fit sees
+        # an empty stack and the whole stack is drawn again
+        svd = np.linalg.svd
+        calls = []
+
+        def first_draw_deficient(a, *args, **kwargs):
+            sv = svd(a, *args, **kwargs)
+            calls.append(len(a))
+            if len(calls) == 1:
+                sv[..., -1] = 0.0
+            return sv
+
+        monkeypatch.setattr(np.linalg, "svd", first_draw_deficient)
+        rng = np.random.default_rng(7)
+        points, deviations = verify._perturbed_simplices(4, 2, rng)
+        monkeypatch.undo()
+        assert calls == [2, 2] and self.draws_taken(rng, 7, 4) == 4
+        again = np.random.default_rng(7)
+        again.standard_normal((2, 4, 3))
+        expected, _ = verify._perturbed_simplices(4, 2, again)
+        np.testing.assert_array_equal(points, expected)
+        assert all(d == design_weights(p)[1] for p, d in zip(points, deviations))
+
+    def test_an_always_failing_draw_stops_after_64_rounds(self, monkeypatch):
+        sizes = []
+
+        def never_fits(points):
+            sizes.append(len(points))
+            return np.zeros(points.shape[:-1]), np.zeros(len(points))
+
+        monkeypatch.setattr(verify, "_design_fit", never_fits)
+        rng = np.random.default_rng(5)
+        with pytest.raises(DegenerateInputError, match="could not draw a perturbed simplex"):
+            verify._perturbed_simplices(4, 2, rng)
+        assert sizes == [2] * 64
+        assert self.draws_taken(rng, 5, 4) == 128
+
+    def test_no_draw_at_l_2(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateInputError, match="at l = 2 the pure states are two points"):
+            verify._perturbed_simplices(2, 1, rng)
+        assert rng.bit_generator.state == state
+        points, deviations = verify._perturbed_simplices(2, 0, rng)
+        assert points.shape == (0, 2, 2) and deviations.shape == (0,)
+        assert rng.bit_generator.state == state
 
 
 class TestStateSetJson:

@@ -602,6 +602,31 @@ class TestDdiOnBall:
             result.design_certificate.frame_deviation, abs=1e-12)
         np.testing.assert_array_equal(result.counter_image.weights, mvee(cloud).support_weights)
 
+    def test_certificate_is_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        certify = inference.certify_design
+
+        def counted(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(inference, "certify_design", counted)
+        rng = np.random.default_rng(22)
+        result = ddi_on_ball(random_cloud(20, 4, rng), design_tol=1e-6)
+        assert calls == []
+        assert result.design_tol == 1e-6
+        certificate = result.design_certificate
+        assert certificate == certify(result.counter_image, 1e-6)
+        assert result.design_certificate is certificate and len(calls) == 1
+        # a replaced result is a new result, certified afresh
+        loose = dataclasses.replace(result, design_tol=1.0)
+        assert len(calls) == 1
+        assert loose.design_certificate == certify(result.counter_image, 1.0)
+        assert loose.design_certificate.is_design and not certificate.is_design
+        assert len(calls) == 2
+        assert result.to_dict()["design_certificate"] == certificate.to_dict()
+        assert len(calls) == 2
+
     def test_result_serializes(self):
         result = ddi_on_ball(ProbabilityCloud(np.eye(3)))
         obj = result.to_dict()
@@ -860,25 +885,64 @@ class TestRoundTrip:
 
     def test_requires_perturbed_clouds_spanning_all_dimensions(self, monkeypatch):
         # a perturbed simplex with a repeated point spans one dimension less
-        def repeated(l, rng):
-            points = np.eye(l)
-            points[-1] = points[0]
-            return points, 1.0
+        def repeated(l, count, rng):
+            points = np.tile(np.eye(l), (count, 1, 1))
+            points[:, -1] = points[:, 0]
+            return points, np.ones(count)
 
-        monkeypatch.setattr(verify, "_perturbed_simplex", repeated)
+        monkeypatch.setattr(verify, "_perturbed_simplices", repeated)
         meas = random_ic_quasi_measurement(6, 4, 1)
         assert inference_round_trip(meas).perturbed_excess == ()
         with pytest.raises(InvalidInputError, match="spanning all l=4 dimensions, one spans 3"):
             inference_round_trip(meas, perturbations=1)
 
+    @pytest.mark.parametrize("perturbations", [-1, 2.7, True, "3", None, float("nan")])
+    def test_refuses_perturbations_that_are_no_whole_count(self, perturbations):
+        meas = random_ic_quasi_measurement(5, 3, 2)
+        with pytest.raises(InvalidInputError, match="perturbations must be a whole number >= 0"):
+            inference_round_trip(meas, perturbations=perturbations)
+
+    def test_reads_a_whole_float_as_a_count(self):
+        meas = random_ic_quasi_measurement(5, 3, 2)
+        assert inference_round_trip(meas, perturbations=2.0, seed=4) == inference_round_trip(
+            meas, perturbations=2, seed=4)
+        assert len(inference_round_trip(meas, perturbations=2.0).perturbed_excess) == 2
+
+    def test_refuses_perturbations_at_l_2_before_drawing(self):
+        # the pure states of l = 2 are two points, so no kick misses the design
+        meas = random_ic_quasi_measurement(3, 2, 1)
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateInputError, match="at l = 2 the pure states are two points"):
+            inference_round_trip(meas, perturbations=1, seed=rng)
+        assert rng.bit_generator.state == state
+        assert inference_round_trip(meas, seed=rng).perturbed_excess == ()
+
+    def test_only_the_unperturbed_solve_is_certified(self, monkeypatch):
+        # the perturbed solves are read for their volume alone
+        calls = []
+        certify = inference.certify_design
+
+        def counted(*args):
+            calls.append(1)
+            return certify(*args)
+
+        monkeypatch.setattr(inference, "certify_design", counted)
+        meas = random_ic_quasi_measurement(12, 9, 1)
+        report = inference_round_trip(meas, perturbations=3, seed=1)
+        assert len(calls) == 1 and report.design_certificate.is_design
+        assert report.design_certificate.tol_used == 1e-7
+
     def test_linalg_work_of_one_simulate_trial(self, monkeypatch):
         # one SVD for the input measurement, read by the sampler's rank test,
         # the expected volume and the gauge fit; three per solve (chart, root
-        # and K); one rank test per perturbed simplex
-        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq")
+        # and K); one stacked rank test for the perturbed simplices; one
+        # eigvalsh for their stacked frames and one for the certificate of
+        # the unperturbed solve
+        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq", "eigvalsh")
         meas = random_ic_quasi_measurement(12, 9, 1)
         inference_round_trip(meas, perturbations=3, seed=1)
-        assert counts == {"svd": 16, "pinv": 0, "lstsq": 0}
+        assert counts == {"svd": 14, "pinv": 0, "lstsq": 0, "eigvalsh": 2}
 
 
 class TestCloudJson:
