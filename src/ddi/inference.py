@@ -23,9 +23,11 @@ optimality certificate.
 The optimum is unique only up to right-composition with an orthogonal
 map fixing the all-ones direction.  The returned representative is
 gauge-fixed: its tangent block is the symmetric positive square root of
-the ellipsoid shape in deterministic charts.  The ellipsoid carries that
-root, from an SVD of its weighted support, and derives the shape from it.
-The measurement's volume and the cloud's counter-image come from that
+the ellipsoid shape in deterministic charts.  The ellipsoid carries its
+principal axes and semi-axes, the right singular vectors and singular
+values of an SVD of its weighted support, and derives that root, the
+shape and the root's inverse from them, with no further factorization.
+The measurement's volume and the cloud's counter-image come from the
 root through an ``l x l`` block triangular factor ``K`` of the
 measurement, with no decomposition of the measurement itself;
 :func:`~ddi.measurements.validate`,
@@ -133,49 +135,69 @@ class Ellipsoid:
     """Ellipsoid ``{center + chart @ root @ x : |x| <= 1}``.
 
     ``chart`` has orthonormal columns spanning the tangent space of the
-    cloud's affine hull; ``root`` is symmetric positive definite in those
-    coordinates, so its eigenvalues are the semi-axes.  The ellipsoid
-    carries ``root``, and ``shape = root @ root`` is derived from it.
-    ``support_weights`` is the dual certificate from the solver.
+    cloud's affine hull.  In those coordinates the ellipsoid is carried by
+    its principal axes, the orthonormal columns of ``axes``, and its
+    positive ``semi_axes``, both read off the SVD of the solver's weighted
+    support; ``root = axes @ diag(semi_axes) @ axes.T`` and ``shape = root
+    @ root`` are derived from them, and so is ``root^-1``, with no
+    factorization.  ``support_weights`` is the dual certificate from the
+    solver.
+
+    With ``k`` the chart's columns, the center must have shape ``(n,)``,
+    the chart ``(n, k)``, the axes ``(k, k)`` and the semi-axes ``(k,)``,
+    all finite; anything else is an :class:`InvalidInputError`.
     """
 
     center: np.ndarray
-    root: np.ndarray
+    axes: np.ndarray
+    semi_axes: np.ndarray
     chart: np.ndarray
     support_weights: np.ndarray = field(repr=False)
     optimality_gap: float
     iterations: int
 
     def __post_init__(self):
-        root = np.asarray(self.root, dtype=float)
-        if np.abs(root - root.T).max() > 1e-9 * max(1.0, np.abs(root).max()):
-            raise InvalidInputError("ellipsoid root must be symmetric")
-        try:
-            np.linalg.cholesky(root)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidInputError("ellipsoid root must be positive definite") from exc
-        # the measurement's volume and counter-image are read off root
-        # through this chart, which holds only for orthonormal columns
-        chart = np.asarray(self.chart, dtype=float)
-        gram = chart.T @ chart
-        gram.ravel()[:: chart.shape[1] + 1] -= 1.0
-        if np.abs(gram).max() > DEFAULT_TOL:
-            raise InvalidInputError("ellipsoid chart must have orthonormal columns")
+        for name in ("center", "axes", "semi_axes", "chart"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        center, axes, semi_axes, chart = self.center, self.axes, self.semi_axes, self.chart
+        if chart.ndim != 2 or chart.shape[1] < 1:
+            raise InvalidInputError("ellipsoid chart must be an (n, k) array with k >= 1")
+        n, k = chart.shape
+        if center.shape != (n,) or axes.shape != (k, k) or semi_axes.shape != (k,):
+            raise InvalidInputError(
+                f"ellipsoid center, axes and semi-axes must have shapes ({n},), "
+                f"({k}, {k}) and ({k},) for a ({n}, {k}) chart")
+        # every test below fails closed on NaN
+        if not np.isfinite(center).all():
+            raise InvalidInputError("ellipsoid center must be finite")
+        if not (semi_axes.min() > 0.0 and semi_axes.max() < math.inf):
+            raise InvalidInputError("ellipsoid semi-axes must be positive and finite")
+        # the inverse root is read off the axes, and the measurement's volume
+        # and counter-image through the chart, which needs orthonormal columns
+        identity = np.eye(k)
+        for name, columns in (("axes", axes), ("chart", chart)):
+            if not np.abs(columns.T @ columns - identity).max() <= DEFAULT_TOL:
+                raise InvalidInputError(f"ellipsoid {name} must have orthonormal columns")
+
+    @property
+    def root(self) -> np.ndarray:
+        return (self.axes * self.semi_axes) @ self.axes.T
 
     @property
     def shape(self) -> np.ndarray:
-        return self.root @ self.root
+        root = self.root
+        return root @ root
 
 
 def _sign_fix_columns(w: np.ndarray) -> np.ndarray:
     # Deterministic gauge: flip each column so its largest entry is positive.
     pivots = w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])]
-    return np.where(pivots < 0, -w, w)
+    return w * np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def _affine_chart(points: np.ndarray):
     """Orthonormal chart (n, rank) of the affine hull and the base point."""
-    base = points.mean(axis=0)
+    base = points.sum(axis=0) / len(points)
     _, sv, vt = np.linalg.svd(points - base, full_matrices=False)
     scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
     n = points.shape[1]
@@ -380,9 +402,11 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
 
     The problem is solved in an orthonormal chart of the cloud's affine
     hull, whose dimension is ``span_dim - 1``, by :func:`_khachiyan_weights`.
-    ``root`` and ``center`` are built from the returned weights in the
-    original chart.  ``optimality_gap`` is the relative duality gap
-    computed from a fresh inverse at those weights, converged or not.
+    ``center`` is built from the returned weights in the original chart,
+    and the principal ``axes`` and ``semi_axes`` are the right singular
+    vectors and singular values of the weighted, centered support.
+    ``optimality_gap`` is the relative duality gap computed from a fresh
+    inverse at those weights, converged or not.
     ``iterations`` counts the steps that moved the weights: toward, away
     and drop steps and Newton steps on the support's face, each against
     ``max_iter``; a simplex of ``span_dim`` points takes none.  On
@@ -405,13 +429,15 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     x = (cloud.points - base) @ chart
     weights, gap, iterations = _khachiyan_weights(x, eps, int(max_iter))
     center_x = weights @ x
-    # root = V S V^T from the thin SVD A = U S V^T; shape = A^T A is never formed
+    # the thin SVD A = U S V^T gives the principal axes V and semi-axes S,
+    # so root = V S V^T; shape = A^T A is never formed
     support = weights > 0.0
     factor = np.sqrt(d * weights[support])[:, None] * (x[support] - center_x)
     _, sv, vt = np.linalg.svd(factor, full_matrices=False)
     ellipsoid = Ellipsoid(
         center=base + chart @ center_x,
-        root=(vt.T * sv) @ vt,
+        axes=vt.T,
+        semi_axes=sv,
         chart=chart,
         support_weights=weights,
         optimality_gap=float(gap),
@@ -463,7 +489,8 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     The measurement is the canonical quasi-measurement whose range is the
     ellipsoid: it maps the ball center ``u/l`` to the ellipsoid center and
     the tangent space of the ball onto the ellipsoid through its symmetric
-    positive ``root``, divided by the ball radius.  It is informationally
+    positive ``root = V diag(s) V^T`` (``V`` the ellipsoid's ``axes``, ``s``
+    its ``semi_axes``), divided by the ball radius.  It is informationally
     complete, satisfies the normalization identity by construction and is
     the gauge-fixed representative of its orbit.
 
@@ -478,19 +505,21 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     orthonormal columns.  So ``M`` shares its singular values with ``K``,
     which give the rank test and ``volume_sq``, and ``M^+ p = Q K^-1
     [c_perp / |c_perp|, C]^T p`` is read off the whitened offsets
-    ``w = root^-1 C^T (p - c)`` that the containment check solves for:
-    with ``t = c_perp . (p - c) / |c_perp|^2``,
+    ``w = root^-1 C^T (p - c)`` that the containment check measures, with
+    the inverse ``root^-1 = V diag(1 / s) V^T`` read off the axes rather
+    than solved for: with ``t = c_perp . (p - c) / |c_perp|^2``,
 
         M^+ p = (1 + t) u / l + r T (w - t root^-1 c_par),
 
     which never forms the large entries of ``M^+`` of an almost flat
-    cloud.  No decomposition of ``M`` is taken; :func:`validate`,
+    cloud.  One SVD, of ``K`` for its singular values, is the only
+    factorization taken; :func:`validate`,
     :func:`range_volume_sq` and :func:`pseudoinverse` are the independent
     oracles the tests compare these with.
 
     The counter-image carries the solver's dual weights
-    ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid
-    root is built from those weights, so their frame operator is
+    ``ellipsoid.support_weights`` (zero off the support).  The ellipsoid's
+    axes are built from those weights, so their frame operator is
     ``eye(l) / l`` up to rounding, converged or not.  The certificate,
     computed on first read, is :func:`certify_design` of that
     counter-image at ``design_tol``, so ``is_design`` holds when every
@@ -510,38 +539,40 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
     slack = max(_CONTAINMENT_TOL, 4.0 * ellipsoid.optimality_gap)
     l = cloud.span_dim
-    chart, center, root = ellipsoid.chart, ellipsoid.center, ellipsoid.root
+    chart, center, axes = ellipsoid.chart, ellipsoid.center, ellipsoid.axes
     if chart.shape != (cloud.n, l - 1):
         raise InvalidInputError("ellipsoid chart does not match the cloud")
     offsets = cloud.points - center
     along = chart.T @ center
     normal = center - chart @ along
-    # one solve for the whitened offsets and root^-1 c_par, its right-hand
-    # side written row by row and read by columns
+    # the whitened offsets and root^-1 c_par, read off the axes as
+    # V S^-1 V^T applied to a right-hand side written row by row
     rhs = np.empty((len(cloud) + 1, l - 1))
     np.matmul(offsets, chart, out=rhs[:-1])
     rhs[-1] = along
-    solved = np.linalg.solve(root, rhs.T)
+    solved = axes @ ((rhs @ axes).T / ellipsoid.semi_axes[:, None])
     white, lift = solved[:, :-1], solved[:, -1]
     # light containment check, tolerant of the solver's eps-level slack
-    quad = np.einsum("ij,ij->j", white, white)
-    if quad.max() > 1.0 + slack:
+    worst = float(np.einsum("ij,ij->j", white, white).max())
+    if not worst <= 1.0 + slack:
         raise InvalidInputError(
-            f"ellipsoid does not enclose the cloud, worst quadratic {quad.max()}")
+            f"ellipsoid does not enclose the cloud, worst quadratic {worst}")
     radius = ball_radius(l)
     normal_sq = float(normal @ normal)
+    root = ellipsoid.root
     k = np.zeros((l, l))
-    k[0, 0] = np.sqrt(l * normal_sq)
+    k[0, 0] = math.sqrt(l * normal_sq)
     k[1:, 0] = np.sqrt(l) * along
     k[1:, 1:] = root / radius
     sv = np.linalg.svd(k, compute_uv=False)
-    if sv[-1] <= DEFAULT_TOL * sv[0]:
+    if not sv[-1] > DEFAULT_TOL * sv[0]:
         raise DegenerateRangeError("measurement range is rank deficient")
     basis = hyperplane_basis(l)
     matrix = center[:, None] + chart @ root @ basis.T / radius
     # full rank, so the normalization identity says every column sums to 1
-    residual = float(np.linalg.norm(matrix.sum(axis=0) - 1.0))
-    if residual > DEFAULT_TOL:
+    column_error = matrix.sum(axis=0) - 1.0
+    residual = math.sqrt(column_error @ column_error)
+    if not residual <= DEFAULT_TOL:
         raise NotAQuasiMeasurementError(
             f"normalization identity fails with residual {residual}", residual=residual)
     t = offsets @ normal / normal_sq

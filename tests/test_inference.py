@@ -475,18 +475,46 @@ class TestMvee:
         with pytest.raises(InvalidInputError, match="eps"):
             mvee(dirichlet_cloud(12, 4, 1), eps=eps, max_iter=50)
 
-    def test_asymmetric_shape_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Ellipsoid(center=np.zeros(3), root=np.array([[1.0, 0.5], [0.0, 1.0]]),
-                      chart=np.zeros((3, 2)), support_weights=np.ones(1),
-                      optimality_gap=0.0, iterations=0)
+    def test_non_orthonormal_axes_rejected(self):
+        e = mvee(ProbabilityCloud(np.eye(3)))
+        with pytest.raises(InvalidInputError, match="axes must have orthonormal"):
+            Ellipsoid(center=e.center, axes=np.array([[1.0, 0.5], [0.0, 1.0]]),
+                      semi_axes=e.semi_axes, chart=e.chart,
+                      support_weights=e.support_weights,
+                      optimality_gap=e.optimality_gap, iterations=e.iterations)
 
     def test_chart_without_orthonormal_columns_rejected(self):
         e = mvee(ProbabilityCloud(np.eye(3)))
-        with pytest.raises(InvalidInputError, match="orthonormal"):
-            Ellipsoid(center=e.center, root=e.root, chart=2.0 * e.chart,
-                      support_weights=e.support_weights,
+        with pytest.raises(InvalidInputError, match="chart must have orthonormal"):
+            Ellipsoid(center=e.center, axes=e.axes, semi_axes=e.semi_axes,
+                      chart=2.0 * e.chart, support_weights=e.support_weights,
                       optimality_gap=e.optimality_gap, iterations=e.iterations)
+
+    @pytest.mark.parametrize("fields", [
+        # unchecked, each would fail inside assemble_result with a numpy
+        # error, or pass its containment test on NaN quadratics
+        {"axes": np.eye(2)},
+        {"center": np.full(2, 0.25)},
+        {"axes": np.full((3, 3), np.nan)},
+        {"semi_axes": np.ones(2)},
+        {"semi_axes": np.array([1.0, np.nan, 1.0])},
+        {"semi_axes": np.array([1.0, np.inf, 1.0])},
+        {"center": np.array([0.25, np.inf, 0.25, 0.5])},
+        {"center": np.array([0.25, np.nan, 0.25, 0.5])},
+        {"chart": np.full((4, 3), np.nan)},
+        {"chart": np.zeros(4)},
+    ], ids=["axes-2x2", "center-2", "axes-nan", "semi-axes-2", "semi-axes-nan",
+            "semi-axes-inf", "center-inf", "center-nan", "chart-nan", "chart-1d"])
+    def test_fields_that_describe_no_ellipsoid_are_refused(self, fields):
+        e = mvee(dirichlet_cloud(10, 4, 1))
+        with pytest.raises(InvalidInputError, match="ellipsoid"):
+            dataclasses.replace(e, **fields)
+
+    def test_construction_takes_no_cholesky_factor(self, monkeypatch):
+        e = mvee(dirichlet_cloud(10, 4, 1))
+        counts = count_linalg_calls(monkeypatch, "cholesky")
+        dataclasses.replace(e, semi_axes=2.0 * e.semi_axes)
+        assert counts["cholesky"] == 0
 
 
 class TestEllipsoidToMeasurement:
@@ -540,6 +568,22 @@ class TestEllipsoidToMeasurement:
         assert range_volume_sq(result.measurement) == pytest.approx(result.volume_sq, rel=1e-12)
         assert counts["svd"] == 1
 
+    def test_assembly_takes_one_svd_and_no_solve(self, monkeypatch):
+        # the inverse of the root is read off the ellipsoid's axes
+        cloud = random_cloud(12, 4, np.random.default_rng(22))
+        ellipsoid = mvee(cloud)
+        counts = count_linalg_calls(monkeypatch, "svd", "solve")
+        assemble_result(ellipsoid, cloud)
+        assert counts == {"svd": 1, "solve": 0}
+
+    def test_simplex_solve_takes_three_svds(self, monkeypatch):
+        # the chart's, the weighted support's and K's singular values
+        points = random_ic_quasi_measurement(12, 9, seed=3).matrix.T
+        names = ("svd", "solve", "cholesky", "qr", "inv", "lstsq", "eigvalsh")
+        counts = count_linalg_calls(monkeypatch, *names)
+        ddi_on_ball(ProbabilityCloud(points))
+        assert counts == {**dict.fromkeys(names, 0), "svd": 3}
+
     def test_rejects_an_ellipsoid_of_another_cloud(self):
         # both clouds span 3 dimensions, in 3 and in 4 outcomes
         ellipsoid = mvee(ProbabilityCloud(np.eye(3)))
@@ -549,8 +593,8 @@ class TestEllipsoidToMeasurement:
     def test_rejects_non_enclosing_ellipsoid(self):
         cloud = ProbabilityCloud(np.eye(3))
         e = mvee(cloud)
-        small = Ellipsoid(center=e.center, root=0.5 * e.root, chart=e.chart,
-                          support_weights=e.support_weights,
+        small = Ellipsoid(center=e.center, axes=e.axes, semi_axes=0.5 * e.semi_axes,
+                          chart=e.chart, support_weights=e.support_weights,
                           optimality_gap=e.optimality_gap, iterations=e.iterations)
         with pytest.raises(InvalidInputError):
             assemble_result(small, cloud)

@@ -183,6 +183,12 @@ def test_solver_reaches_the_dense_optimum_with_a_fresh_gap(points, cap):
     for actual, expected in ((e.center, center), (e.shape, shape)):
         np.testing.assert_allclose(actual, expected, rtol=0.0,
                                    atol=1e-8 * np.abs(expected).max())
+    # the root is built from the principal axes, and so is its inverse
+    np.testing.assert_array_equal(e.root, (e.axes * e.semi_axes) @ e.axes.T)
+    offsets = (cloud.points - e.center) @ e.chart
+    white = e.axes @ ((offsets @ e.axes).T / e.semi_axes[:, None])
+    solved = np.linalg.solve(e.root, offsets.T)
+    assert np.abs(white - solved).max() <= 1e-12 * np.abs(solved).max()
     try:
         partial = mvee(cloud, eps=1e-12, max_iter=cap)
     except NoConvergenceError as exc:
@@ -255,8 +261,8 @@ def test_assembly_from_the_root_matches_the_svd_oracles(points):
 def test_center_off_the_hyperplane_is_rejected():
     cloud = ProbabilityCloud(np.random.default_rng(0).dirichlet(np.ones(4), 12))
     e = mvee(cloud)
-    moved = Ellipsoid(center=e.center + 1e-6, root=e.root, chart=e.chart,
-                      support_weights=e.support_weights,
+    moved = Ellipsoid(center=e.center + 1e-6, axes=e.axes, semi_axes=e.semi_axes,
+                      chart=e.chart, support_weights=e.support_weights,
                       optimality_gap=e.optimality_gap, iterations=e.iterations)
     with pytest.raises(NotAQuasiMeasurementError):
         assemble_result(moved, cloud)
@@ -267,20 +273,20 @@ def test_rank_deficient_range_is_rejected():
     e = mvee(cloud)
     # a semi-axis 1e10 times the other encloses the cloud but leaves M
     # with singular values 1e-10 apart
-    wide = Ellipsoid(center=e.center, root=e.root * np.diag([1e10, 1.0]), chart=e.chart,
-                     support_weights=e.support_weights,
+    wide = Ellipsoid(center=e.center, axes=e.axes, semi_axes=e.semi_axes * [1e10, 1.0],
+                     chart=e.chart, support_weights=e.support_weights,
                      optimality_gap=e.optimality_gap, iterations=e.iterations)
     with pytest.raises(DegenerateRangeError):
         assemble_result(wide, cloud)
 
 
-def test_indefinite_root_is_rejected():
+@pytest.mark.parametrize("semi_axis", [-1.0, 0.0])
+def test_non_positive_semi_axis_is_rejected(semi_axis):
     e = mvee(ProbabilityCloud(np.eye(3)))
-    root = np.diag([1.0, -1.0])
-    np.linalg.cholesky(root @ root)  # the square alone looks like a valid shape
-    with pytest.raises(InvalidInputError):
-        Ellipsoid(center=e.center, root=root, chart=e.chart,
-                  support_weights=e.support_weights,
+    # a semi-axis of -1 squares to a valid shape, but gives no positive root
+    with pytest.raises(InvalidInputError, match="semi-axes must be positive"):
+        Ellipsoid(center=e.center, axes=np.eye(2), semi_axes=np.array([1.0, semi_axis]),
+                  chart=e.chart, support_weights=e.support_weights,
                   optimality_gap=e.optimality_gap, iterations=e.iterations)
 
 
