@@ -16,16 +16,9 @@ from .errors import (
     DdiError,
     DegenerateInputError,
     DegenerateRangeError,
-    InvalidDimensionError,
     InvalidInputError,
-    InvalidRotationError,
-    InvalidStateError,
     NoConvergenceError,
     NotAQuasiMeasurementError,
-    NotClosedFormCaseError,
-    NotNormalizedError,
-    NotPureStateError,
-    PreconditionViolatedError,
 )
 from .geometry import DEFAULT_TOL, ball_radius, hyperplane_basis, pseudoinverse, unit_effect
 from .designs import DESIGN_TOL, DesignCertificate, WeightedStateSet, frame_operator, is_two_design
@@ -60,16 +53,9 @@ __all__ = [
     "DdiError",
     "DegenerateInputError",
     "DegenerateRangeError",
-    "InvalidDimensionError",
     "InvalidInputError",
-    "InvalidRotationError",
-    "InvalidStateError",
     "NoConvergenceError",
     "NotAQuasiMeasurementError",
-    "NotClosedFormCaseError",
-    "NotNormalizedError",
-    "NotPureStateError",
-    "PreconditionViolatedError",
     "DEFAULT_TOL",
     "ball_radius",
     "hyperplane_basis",

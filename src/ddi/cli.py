@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import DdiError, InvalidDimensionError, NoConvergenceError
+from .errors import DdiError, InvalidInputError, NoConvergenceError
 from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, validate
@@ -53,7 +53,7 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise DdiError(f"cannot read JSON from {path}: {exc}") from exc
+        raise InvalidInputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -125,13 +125,13 @@ def cmd_embed(args) -> int:
 
     payload = _load_json(args.input)
     if not isinstance(payload, list) or not payload:
-        raise DdiError("embed expects a nonempty JSON list of operators")
+        raise InvalidInputError("embed expects a nonempty JSON list of operators")
     operators = [hermitian_from_dict(obj) for obj in payload]
     d = operators[0].shape[0]
     if args.dim is not None and args.dim != d:
-        raise DdiError(f"operators have dimension {d}, expected {args.dim}")
+        raise InvalidInputError(f"operators have dimension {d}, expected {args.dim}")
     if any(op.shape[0] != d for op in operators):
-        raise DdiError("all operators must share one dimension")
+        raise InvalidInputError("all operators must share one dimension")
     embedding = StateEmbedding.for_dimension(d)
     vectors = []
     report = []
@@ -167,7 +167,7 @@ def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
     if trial_seed < 0:
         # negative seed convention: deterministic identity-block instance
         if l < 2 or n < l:
-            raise InvalidDimensionError(
+            raise InvalidInputError(
                 f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
         return validate(np.eye(n, l))
     return random_ic_quasi_measurement(n, l, trial_seed)
@@ -177,7 +177,7 @@ def cmd_simulate(args) -> int:
     from .verify import inference_round_trip  # the harness stays off the other commands
 
     if args.trials < 1:
-        raise DdiError(f"trials must be positive, got {args.trials}")
+        raise InvalidInputError(f"trials must be positive, got {args.trials}")
     header = ["trial", "seed", "expected_volume_sq", "recovered_volume_sq",
               "relative_gap", "design_deviation", "iterations"]
     rows = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPureStateError
+from .errors import InvalidInputError
 from .geometry import DEFAULT_TOL, _read_layout
 
 #: Default certification threshold on the frame-operator deviation.
@@ -153,13 +153,12 @@ def is_two_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCe
     """Certify whether a set of pure states is a 2-design.
 
     Same certificate as :func:`certify_design`, but a point off the unit
-    sphere by more than ``tol`` raises :class:`NotPureStateError`.
+    sphere by more than ``tol`` raises :class:`InvalidInputError`.
     """
     certificate = certify_design(states, tol)
     if not certificate.sphere_deviation <= tol:
-        raise NotPureStateError(
-            f"point lies off the pure-state sphere by {certificate.sphere_deviation}",
-            deviation=certificate.sphere_deviation)
+        raise InvalidInputError(
+            f"point lies off the pure-state sphere by {certificate.sphere_deviation}")
     return certificate
 
 

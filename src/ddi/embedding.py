@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError, NotNormalizedError
+from .errors import InvalidInputError
 from .geometry import DEFAULT_TOL, _read_layout, hyperplane_basis
 
 
@@ -58,7 +58,7 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     read-only array is returned on every call.
     """
     if d < 2:
-        raise InvalidDimensionError(f"Hilbert dimension must be >= 2, got {d}")
+        raise InvalidInputError(f"Hilbert dimension must be >= 2, got {d}")
     basis = np.zeros((d * d - 1, d, d), dtype=complex)
     idx = 0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -84,7 +84,7 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
 
 def _hilbert_dimension(d) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidDimensionError(f"Hilbert dimension must be an int >= 2, got {d!r}")
+        raise InvalidInputError(f"Hilbert dimension must be an int >= 2, got {d!r}")
     return int(d)
 
 
@@ -236,7 +236,7 @@ def embed_density(rho: np.ndarray, embedding: StateEmbedding,
     l = embedding.d * embedding.d
     trace_re, trace_im = float(y[l]), float(y[l + 1])
     if not math.hypot(trace_re - 1.0, trace_im) <= tol:
-        raise NotNormalizedError(
+        raise InvalidInputError(
             f"density matrix must have unit trace, got {complex(trace_re, trace_im)}")
     return y[:l] + 1.0 / l
 

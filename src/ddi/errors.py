@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+One class per failure a caller tells apart:
+
+- ``DdiError``: the base of them all; the CLI maps it to exit 3.
+- ``InvalidInputError``: a malformed argument or a violated precondition; exit 3.
+- ``DegenerateInputError``: a cloud or design too degenerate to solve, not malformed; exit 3.
+- ``DegenerateRangeError``: a rank-deficient measurement; the round trip catches it.
+- ``NotAQuasiMeasurementError``: the samplers catch it to redraw; carries ``residual``.
+- ``NoConvergenceError``: the solver's iteration cap; exit 2, carries ``partial``.
+"""
 
 from __future__ import annotations
 
@@ -7,32 +17,8 @@ class DdiError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidDimensionError(DdiError):
-    """A dimension argument is outside the supported range."""
-
-
 class InvalidInputError(DdiError):
     """An input value fails structural validation."""
-
-
-class NotNormalizedError(InvalidInputError):
-    """An operator that must have unit trace does not."""
-
-
-class NotPureStateError(DdiError):
-    """A vector expected on the pure-state sphere lies off it."""
-
-    def __init__(self, message: str, deviation: float | None = None):
-        super().__init__(message)
-        self.deviation = deviation
-
-
-class InvalidRotationError(DdiError):
-    """A matrix is not an orthogonal map fixing the all-ones direction."""
-
-
-class InvalidStateError(DdiError):
-    """A vector is not on the state hyperplane."""
 
 
 class NotAQuasiMeasurementError(DdiError):
@@ -49,14 +35,6 @@ class DegenerateRangeError(DdiError):
 
 class DegenerateInputError(DdiError):
     """A point set is too degenerate for the requested operation."""
-
-
-class NotClosedFormCaseError(DdiError):
-    """The closed-form inference path does not apply to this cloud."""
-
-
-class PreconditionViolatedError(DdiError):
-    """A documented precondition of a verification routine is violated."""
 
 
 class NoConvergenceError(DdiError):

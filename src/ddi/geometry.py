@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidInputError
+from .errors import InvalidInputError
 
 #: Default absolute tolerance for validation checks.
 DEFAULT_TOL = 1e-9
@@ -33,14 +33,14 @@ def unit_effect(l: int) -> np.ndarray:
         Formalism dimension, at least 2.
     """
     if not isinstance(l, (int, np.integer)) or l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be an int >= 2, got {l!r}")
+        raise InvalidInputError(f"formalism dimension must be an int >= 2, got {l!r}")
     return np.ones(int(l))
 
 
 def ball_radius(l: int) -> float:
     """Radius of the state ball within the hyperplane."""
     if l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
     return float(np.sqrt(1.0 - 1.0 / l))
 
 
@@ -67,7 +67,7 @@ def hyperplane_basis(l: int) -> np.ndarray:
     built once and the same read-only array is returned on every call.
     """
     if l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
     cols = np.zeros((l, l - 1))
     for k in range(1, l):
         cols[:k, k - 1] = 1.0

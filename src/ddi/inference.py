@@ -145,7 +145,8 @@ class Ellipsoid:
 
     With ``k`` the chart's columns, the center must have shape ``(n,)``,
     the chart ``(n, k)``, the axes ``(k, k)`` and the semi-axes ``(k,)``,
-    all finite; anything else is an :class:`InvalidInputError`.
+    all finite, the gap finite and nonnegative and the iterations
+    nonnegative; anything else is an :class:`InvalidInputError`.
     """
 
     center: np.ndarray
@@ -168,6 +169,10 @@ class Ellipsoid:
                 f"ellipsoid center, axes and semi-axes must have shapes ({n},), "
                 f"({k}, {k}) and ({k},) for a ({n}, {k}) chart")
         # every test below fails closed on NaN
+        if not (0.0 <= self.optimality_gap < math.inf and self.iterations >= 0):
+            raise InvalidInputError(
+                f"ellipsoid gap must be finite and >= 0 and iterations >= 0, "
+                f"got {self.optimality_gap} and {self.iterations}")
         if not np.isfinite(center).all():
             raise InvalidInputError("ellipsoid center must be finite")
         if not (semi_axes.min() > 0.0 and semi_axes.max() < math.inf):
@@ -419,6 +424,8 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     NoConvergenceError
         When ``max_iter`` steps do not reach the gap; the exception's
         ``partial`` is the ellipsoid at the last weights, with their gap.
+        A NaN gap builds no ellipsoid, so no partial: the constructor
+        refuses it with :class:`InvalidInputError`.
     """
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be positive and finite, got {eps}")
@@ -443,7 +450,7 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         optimality_gap=float(gap),
         iterations=int(iterations),
     )
-    if not gap <= eps:  # a NaN gap fails too
+    if gap > eps:
         raise NoConvergenceError(
             f"gap {gap} after {iterations} iterations (target {eps})", partial=ellipsoid)
     return ellipsoid

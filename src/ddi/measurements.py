@@ -38,12 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateRangeError,
-    InvalidInputError,
-    InvalidStateError,
-    NotAQuasiMeasurementError,
-)
+from .errors import DegenerateRangeError, InvalidInputError, NotAQuasiMeasurementError
 from .geometry import DEFAULT_TOL, _read_layout
 
 
@@ -125,11 +120,11 @@ def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (meas.l,):
-        raise InvalidStateError(f"state must have length {meas.l}, got shape {s.shape}")
+        raise InvalidInputError(f"state must have length {meas.l}, got shape {s.shape}")
     if not np.all(np.isfinite(s)):
-        raise InvalidStateError("state entries must be finite")
+        raise InvalidInputError("state entries must be finite")
     if abs(float(s.sum()) - 1.0) > DEFAULT_TOL:
-        raise InvalidStateError(f"state must sum to 1 within {DEFAULT_TOL}, got {s.sum()}")
+        raise InvalidInputError(f"state must sum to 1 within {DEFAULT_TOL}, got {s.sum()}")
     return meas.matrix @ s
 
 

@@ -23,13 +23,8 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DegenerateRangeError,
-    InvalidDimensionError,
     InvalidInputError,
-    InvalidRotationError,
     NotAQuasiMeasurementError,
-    NotClosedFormCaseError,
-    NotPureStateError,
-    PreconditionViolatedError,
 )
 from .geometry import DEFAULT_TOL, _whole_number, ball_radius, hyperplane_basis
 from .designs import (
@@ -87,7 +82,7 @@ def regular_simplex(l: int) -> WeightedStateSet:
     operator is exactly ``eye(l) / l``.
     """
     if l < 2:
-        raise InvalidDimensionError(f"formalism dimension must be >= 2, got {l}")
+        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
     return WeightedStateSet(points=np.eye(l), weights=np.full(l, 1.0 / l))
 
 
@@ -115,7 +110,7 @@ def random_stabilizing_orthogonal(l: int, seed: int | np.random.Generator = 0) -
 def rotate_set(states: WeightedStateSet, rotation: np.ndarray) -> WeightedStateSet:
     """Apply a stabilizing orthogonal map to every point of a state set.
 
-    Raises :class:`InvalidRotationError` unless ``rotation`` is
+    Raises :class:`InvalidInputError` unless ``rotation`` is
     orthogonal and fixes the all-ones vector, both within ``DEFAULT_TOL``.
     Weights are untouched; norms, pairwise angles, and any design
     property are preserved.
@@ -123,12 +118,12 @@ def rotate_set(states: WeightedStateSet, rotation: np.ndarray) -> WeightedStateS
     rotation = np.asarray(rotation, dtype=float)
     l = states.l
     if rotation.shape != (l, l):
-        raise InvalidRotationError(f"rotation must be {l} x {l}, got {rotation.shape}")
+        raise InvalidInputError(f"rotation must be {l} x {l}, got {rotation.shape}")
     ones = np.ones(l)
     if np.abs(rotation @ ones - ones).max() > DEFAULT_TOL:
-        raise InvalidRotationError("rotation must fix the all-ones vector")
+        raise InvalidInputError("rotation must fix the all-ones vector")
     if np.abs(rotation.T @ rotation - np.eye(l)).max() > DEFAULT_TOL:
-        raise InvalidRotationError("rotation must be orthogonal")
+        raise InvalidInputError("rotation must be orthogonal")
     return WeightedStateSet(points=states.points @ rotation.T, weights=states.weights)
 
 
@@ -149,9 +144,7 @@ def haar_average_estimate(s: np.ndarray, samples: int,
     plane = abs(float(s.sum()) - 1.0)
     radial = abs(float(s @ s) - 1.0)
     if plane > DEFAULT_TOL or radial > DEFAULT_TOL:
-        raise NotPureStateError(
-            "orbit averaging requires a pure state on the hyperplane",
-            deviation=max(plane, radial))
+        raise InvalidInputError("orbit averaging requires a pure state on the hyperplane")
     l = s.size
     rng = np.random.default_rng(seed)
     basis = hyperplane_basis(l)
@@ -315,7 +308,7 @@ def random_ic_quasi_measurement(n: int, l: int,
     unlikely event of rank deficiency.  Deterministic for a fixed seed.
     """
     if l < 2 or n < l:
-        raise InvalidDimensionError(
+        raise InvalidInputError(
             f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
     rng = np.random.default_rng(seed)
     ones_n = np.ones(n)
@@ -347,9 +340,9 @@ def random_quasi_measurement(n: int, l: int, rank: int,
     reduces to an informationally complete draw.
     """
     if l < 2 or n < 1:
-        raise InvalidDimensionError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
+        raise InvalidInputError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
     if rank < 1 or rank > min(n, l):
-        raise InvalidDimensionError(f"rank must lie in [1, min(n, l)], got {rank}")
+        raise InvalidInputError(f"rank must lie in [1, min(n, l)], got {rank}")
     rng = np.random.default_rng(seed)
     ones_n = np.ones(n)
     ones_l = np.ones(l)
@@ -377,7 +370,7 @@ def ddi_closed_form(cloud: ProbabilityCloud) -> DdiResult:
     """
     m = len(cloud)
     if m != cloud.span_dim:
-        raise NotClosedFormCaseError(
+        raise InvalidInputError(
             f"closed form needs exactly span_dim={cloud.span_dim} independent "
             f"distributions, got {m}")
     meas = validate(cloud.points.T.copy())
@@ -436,7 +429,7 @@ def design_volume_bound_check(meas: QuasiMeasurement,
                               states: WeightedStateSet) -> VolumeBoundReport:
     """Check ``det(M^T M) >= 1`` for a square measurement enclosing a design.
 
-    Preconditions (violations raise :class:`PreconditionViolatedError`):
+    Preconditions (violations raise :class:`InvalidInputError`):
     ``meas`` is square and invertible, ``states`` certifies as a
     2-design at ``DESIGN_TOL``, and every design point lies in the image
     of the ball, i.e. each counter-image ``M^-1 s`` is in the ball
@@ -448,14 +441,14 @@ def design_volume_bound_check(meas: QuasiMeasurement,
             f"bound check needs a square {states.l} x {states.l} measurement")
     certificate = is_two_design(states)
     if not certificate.is_design:
-        raise PreconditionViolatedError(
+        raise InvalidInputError(
             f"state set is not a certified 2-design, deviation {certificate.frame_deviation}")
     sv = meas._svd[1]
     if sv[-1] <= 1e-12 * sv[0]:
-        raise PreconditionViolatedError("measurement must be invertible")
+        raise InvalidInputError("measurement must be invertible")
     inverse = np.linalg.inv(matrix)
     if not _rows_in_ball(states.points @ inverse.T, DEFAULT_TOL):
-        raise PreconditionViolatedError("measurement range does not enclose the design")
+        raise InvalidInputError("measurement range does not enclose the design")
     gram_det = float(np.prod(sv * sv))
     trace_gap = float(np.sum(1.0 / (sv * sv)) - meas.l)
     return VolumeBoundReport(

@@ -11,8 +11,6 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.optimize import minimize
 
-from ddi import InvalidInputError, NotNormalizedError
-
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -65,16 +63,19 @@ def turned_gauge(embedding, turn):
 
 
 def embedding_rejection(op, tol, unit_trace):
-    """The error class embedding ``op`` must raise, or None: its checks written out.
+    """The message pattern embedding ``op`` must raise with, or None: its checks written out.
 
     Entries must be finite, ``max |X - X^H|`` at most ``tol`` and, for a
     density matrix, ``|tr X - 1|`` at most ``tol``, tested in that order.
+    Each check has its own pattern, so a match tells which one fired.
     """
     op = np.asarray(op, dtype=complex)
-    if not np.isfinite(op).all() or np.abs(op - op.conj().T).max() > tol:
-        return InvalidInputError
+    if not np.isfinite(op).all():
+        return "entries must be finite"
+    if np.abs(op - op.conj().T).max() > tol:
+        return "not Hermitian within tolerance"
     if unit_trace and abs(np.trace(op) - 1.0) > tol:
-        return NotNormalizedError
+        return "must have unit trace"
     return None
 
 

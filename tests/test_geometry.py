@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from ddi import (
-    InvalidDimensionError,
     InvalidInputError,
-    NotNormalizedError,
     StateEmbedding,
     ball_membership,
     ball_radius,
@@ -41,7 +39,7 @@ class TestUnitEffect:
             assert u @ u == l
 
     def test_rejects_dimension_below_two(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidInputError, match="formalism dimension must be an int >= 2"):
             unit_effect(1)
 
 
@@ -225,7 +223,7 @@ class TestEmbedding:
 
     def test_rejects_wrong_trace(self):
         emb = StateEmbedding.for_dimension(2)
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidInputError, match="must have unit trace"):
             embed_density(np.eye(2), emb)
 
     @pytest.mark.parametrize("op, message", [
@@ -323,7 +321,7 @@ class TestEmbedding:
         assert emb.operator_basis is StateEmbedding.for_dimension(d).operator_basis
         for bad in (1, 2.0, "2"):
             for build in (StateEmbedding, StateEmbedding.for_dimension):
-                with pytest.raises(InvalidDimensionError):
+                with pytest.raises(InvalidInputError, match="Hilbert dimension must be an int"):
                     build(bad)
 
     def test_embeddings_compare_and_hash_by_identity(self):
@@ -337,14 +335,14 @@ class TestEmbedding:
     def test_rejects_real_trace_off_by_1e_6(self):
         rho = np.eye(3, dtype=complex) / 3
         rho[0, 0] += 1e-6
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidInputError, match="must have unit trace"):
             embed_density(rho, StateEmbedding.for_dimension(3))
 
     def test_rejects_imaginary_trace_off_by_1e_6(self):
         # 1e-6j/3 on each diagonal entry leaves rho - rho^H at 6.7e-7, within
         # the tolerance, while the trace is 1 + 1e-6j, outside it
         rho = np.eye(3, dtype=complex) * (1.0 + 1e-6j) / 3
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidInputError, match="must have unit trace"):
             embed_density(rho, StateEmbedding.for_dimension(3), tol=8e-7)
 
 

@@ -9,8 +9,6 @@ from ddi import (
     Ellipsoid,
     InvalidInputError,
     NoConvergenceError,
-    NotClosedFormCaseError,
-    PreconditionViolatedError,
     ProbabilityCloud,
     QuasiMeasurement,
     StateEmbedding,
@@ -503,8 +501,14 @@ class TestMvee:
         {"center": np.array([0.25, np.nan, 0.25, 0.5])},
         {"chart": np.full((4, 3), np.nan)},
         {"chart": np.zeros(4)},
+        # a NaN gap would also reach to_dict, and so the CLI's JSON, as a bare NaN
+        {"optimality_gap": float("nan")},
+        {"optimality_gap": float("inf")},
+        {"optimality_gap": -1.0},
+        {"iterations": -1},
     ], ids=["axes-2x2", "center-2", "axes-nan", "semi-axes-2", "semi-axes-nan",
-            "semi-axes-inf", "center-inf", "center-nan", "chart-nan", "chart-1d"])
+            "semi-axes-inf", "center-inf", "center-nan", "chart-nan", "chart-1d",
+            "gap-nan", "gap-inf", "gap-negative", "iterations-negative"])
     def test_fields_that_describe_no_ellipsoid_are_refused(self, fields):
         e = mvee(dirichlet_cloud(10, 4, 1))
         with pytest.raises(InvalidInputError, match="ellipsoid"):
@@ -707,7 +711,7 @@ class TestClosedForm:
         assert closed.volume_sq == pytest.approx(0.0625, rel=1e-13)
 
     def test_rejects_wrong_cardinality(self):
-        with pytest.raises(NotClosedFormCaseError):
+        with pytest.raises(InvalidInputError, match="closed form needs exactly span_dim=3"):
             ddi_closed_form(ProbabilityCloud(np.vstack([np.eye(3),
                                                         np.full((1, 3), 1 / 3)])))
 
@@ -807,13 +811,13 @@ class TestVolumeBound:
 
     def test_rejects_non_design(self):
         off = WeightedStateSet(points=np.eye(3)[:2], weights=np.array([0.5, 0.5]))
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(InvalidInputError, match="not a certified 2-design"):
             design_volume_bound_check(validate(np.eye(3)), off)
 
     def test_rejects_non_enclosing(self):
         # shrinking the tangent direction pushes counter-images out of the ball
         shrink = np.array([[0.75, 0.25], [0.25, 0.75]])
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(InvalidInputError, match="does not enclose the design"):
             design_volume_bound_check(validate(shrink), regular_simplex(2))
 
     def test_rejects_rectangular(self):

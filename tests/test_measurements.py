@@ -3,9 +3,7 @@ import pytest
 
 from ddi import (
     DegenerateRangeError,
-    InvalidDimensionError,
     InvalidInputError,
-    InvalidStateError,
     NotAQuasiMeasurementError,
     QuasiMeasurement,
     det_factorization_check,
@@ -96,11 +94,11 @@ class TestApply:
             assert abs(float(p.sum()) - 1.0) <= 1e-9
 
     def test_rejects_off_hyperplane_state(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidInputError, match="state must sum to 1"):
             apply(validate(np.eye(3)), np.array([0.5, 0.5, 0.5]))
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidInputError, match="state must have length 3"):
             apply(validate(np.eye(3)), np.array([0.5, 0.5]))
 
 
@@ -232,13 +230,13 @@ class TestSamplers:
         assert counts == {"svd": 1}
 
     def test_rank_sampler_rejects_bad_rank(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidInputError, match="rank must lie in"):
             random_quasi_measurement(4, 3, 4, seed=0)
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidInputError, match="rank must lie in"):
             random_quasi_measurement(4, 3, 0, seed=0)
 
     def test_ic_sampler_rejects_wide_shape(self):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidInputError, match="need n >= l >= 2"):
             random_ic_quasi_measurement(2, 3, seed=0)
 
 
