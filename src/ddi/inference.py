@@ -25,8 +25,9 @@ map fixing the all-ones direction.  The returned representative is
 gauge-fixed: its tangent block is the symmetric positive square root of
 the ellipsoid shape in deterministic charts.  The ellipsoid carries its
 principal axes and semi-axes, the right singular vectors and singular
-values of an SVD of its weighted support, and derives that root, the
-shape and the root's inverse from them, with no further factorization.
+values of an SVD of its weighted support (for a simplex, the chart's
+own), and derives that root, the shape and the root's inverse from
+them, with no further factorization.
 The measurement's volume and the cloud's counter-image come from the
 root through an ``l x l`` block triangular factor ``K`` of the
 measurement, with no decomposition of the measurement itself;
@@ -97,8 +98,11 @@ class ProbabilityCloud:
     chart, base : ndarray
         Orthonormal ``(n, span_dim - 1)`` chart of the affine hull and its
         origin, the centroid; computed once here for every solve and draw.
-        A centered direction thinner than ``DEFAULT_TOL`` times the raw
-        scale ``sqrt(s_1^2 + m |base|^2)`` is dropped from the chart.
+        It is read off an SVD of the centered rows less their row-sum
+        residue, which drops a direction thinner than ``DEFAULT_TOL`` times
+        the raw scale ``sqrt(s_1^2 + m |base|^2)``; the kept singular values
+        and right vectors stay, private and read-only, for :func:`mvee` to
+        read a simplex's ellipsoid off.
     """
 
     def __init__(self, points, sum_tol: float = DEFAULT_TOL):
@@ -114,12 +118,12 @@ class ProbabilityCloud:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
         self.points = points.copy()
-        self.chart, self.base = _affine_chart(self.points)
+        self.chart, self.base, self._sv, self._right = _affine_chart(self.points)
         self.span_dim = self.chart.shape[1] + 1
         if self.span_dim < 2:
             raise DegenerateInputError(
                 "cloud must span at least a 2-dimensional subspace")
-        for array in (self.points, self.chart, self.base):
+        for array in (self.points, self.chart, self.base, self._sv, self._right):
             array.setflags(write=False)
 
     @property
@@ -201,18 +205,22 @@ def _sign_fix_columns(w: np.ndarray) -> np.ndarray:
 
 
 def _affine_chart(points: np.ndarray):
-    """Orthonormal chart (n, rank) of the affine hull and the base point."""
+    """Chart (n, rank), base point, and the kept singular values and vectors."""
     base = points.sum(axis=0) / len(points)
-    _, sv, vt = np.linalg.svd(points - base, full_matrices=False)
-    scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
     n = points.shape[1]
-    # centered rows sum to 0 within the row-sum tolerance: at most n - 1 axes
-    rank = min(int(np.count_nonzero(sv > DEFAULT_TOL * scale)), n - 1)
+    # rows sum to 1 within sum_tol: drop that part to keep the chart in the hyperplane
+    centered = points - base
+    centered -= (centered.sum(axis=1) / n)[:, None]
+    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
+    # centered rows sum to 0 up to rounding, so at most n - 1 axes are kept
+    rank = int(np.count_nonzero(sv > DEFAULT_TOL * scale))
+    right = vt[:rank].T
     if rank == n - 1:
         # the hull fills the hyperplane; use the canonical basis so the
         # ball itself maps to the identity measurement
-        return hyperplane_basis(n), base
-    return _sign_fix_columns(vt[:rank].T), base
+        return hyperplane_basis(n), base, sv[:rank], right
+    return _sign_fix_columns(right), base, sv[:rank], right
 
 
 # Leverages carried by rank-one updates drift by rounding; a solver pass
@@ -280,11 +288,10 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     The weights are affine-invariant, so the iteration runs on whitened
     points, whose uniform lifted scatter is the identity; a thin QR keeps
     that map as well conditioned as the points allow, so a badly scaled
-    cloud converges like a well scaled one.  A simplex, ``D = d + 1``
-    points, is optimal at uniform weights and is returned without a step.
-    Otherwise the iteration starts from uniform weights or from the
-    extreme points of each whitened axis (Kumar and Yildirim's core set),
-    whichever has the larger log det, and runs in passes.
+    cloud converges like a well scaled one.  The iteration starts from
+    uniform weights or from the extreme points of each whitened axis
+    (Kumar and Yildirim's core set), whichever has the larger log det,
+    and runs in passes.
 
     Each pass normalizes the weights and builds the inverse scatter, the
     leverages and the support from them afresh.  The decisions to stop,
@@ -313,11 +320,6 @@ def _khachiyan_weights(x: np.ndarray, eps: float, max_iter: int):
     m, d = x.shape
     dim = d + 1
     u = np.full(m, 1.0 / m)
-    if m == dim:
-        # d + 1 points spanning d dimensions, a simplex: the lifted points
-        # form an invertible square matrix, so every uniform leverage is
-        # exactly dim
-        return u, 0.0, 0
     # constant column first, so the other columns of q are the centered,
     # whitened axes
     q = np.linalg.qr(np.hstack([np.ones((m, 1)), x]))[0]
@@ -414,8 +416,11 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     inverse at those weights, converged or not.
     ``iterations`` counts the steps that moved the weights: toward, away
     and drop steps and Newton steps on the support's face, each against
-    ``max_iter``; a simplex of ``span_dim`` points takes none.  On
-    convergence every point is inside within a ``(1 + eps)`` inflation
+    ``max_iter``.  A simplex, ``span_dim`` points lifted to an invertible
+    square matrix, is optimal at uniform weights (gap 0, no iteration),
+    so its support is the centered cloud, whose SVD ``U S V^T`` the chart
+    took: the semi-axes are ``sqrt(d / m) S`` and the axes ``chart^T V``.
+    On convergence every point is inside within a ``(1 + eps)`` inflation
     and shrinking any semi-axis by more than about ``10 * eps`` ejects at
     least one point.
 
@@ -431,20 +436,25 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         raise InvalidInputError(f"eps must be positive and finite, got {eps}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
-    d = cloud.span_dim - 1
+    m, d = len(cloud), cloud.span_dim - 1
     chart, base = cloud.chart, cloud.base
     x = (cloud.points - base) @ chart
-    weights, gap, iterations = _khachiyan_weights(x, eps, int(max_iter))
-    center_x = weights @ x
-    # the thin SVD A = U S V^T gives the principal axes V and semi-axes S,
-    # so root = V S V^T; shape = A^T A is never formed
-    support = weights > 0.0
-    factor = np.sqrt(d * weights[support])[:, None] * (x[support] - center_x)
-    _, sv, vt = np.linalg.svd(factor, full_matrices=False)
+    if m == d + 1:
+        weights, gap, iterations = np.full(m, 1.0 / m), 0.0, 0
+        center_x = weights @ x
+        semi_axes, vt = math.sqrt(d / m) * cloud._sv, cloud._right.T @ chart
+    else:
+        weights, gap, iterations = _khachiyan_weights(x, eps, int(max_iter))
+        center_x = weights @ x
+        # the thin SVD A = U S V^T gives the principal axes V and semi-axes
+        # S, so root = V S V^T; shape = A^T A is never formed
+        support = weights > 0.0
+        factor = np.sqrt(d * weights[support])[:, None] * (x[support] - center_x)
+        _, semi_axes, vt = np.linalg.svd(factor, full_matrices=False)
     ellipsoid = Ellipsoid(
         center=base + chart @ center_x,
         axes=vt.T,
-        semi_axes=sv,
+        semi_axes=semi_axes,
         chart=chart,
         support_weights=weights,
         optimality_gap=float(gap),
@@ -539,8 +549,10 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     Raises :class:`InvalidInputError` when the ellipsoid does not enclose
     the cloud (a quadratic above ``1 + 1e-6``, or ``1 + 4 * gap`` when the
     ellipsoid's duality gap is larger), :class:`DegenerateRangeError` when
-    the measurement is rank deficient relative to ``DEFAULT_TOL`` and
-    :class:`NotAQuasiMeasurementError` when a column sum misses 1.
+    the measurement is rank deficient relative to ``DEFAULT_TOL``,
+    :class:`NotAQuasiMeasurementError` when a column sum misses 1 and
+    :class:`DegenerateInputError` when a point lies more than
+    ``DEFAULT_TOL`` off the hull along a direction the chart dropped.
     """
     # a partial ellipsoid encloses the cloud only up to its duality gap
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
@@ -583,6 +595,11 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
         raise NotAQuasiMeasurementError(
             f"normalization identity fails with residual {residual}", residual=residual)
     t = offsets @ normal / normal_sq
+    j = int(np.abs(t).argmax())
+    if not abs(t[j]) <= DEFAULT_TOL:
+        raise DegenerateInputError(
+            f"point {j} lies off the cloud's hull along a direction the chart "
+            f"dropped: its counter-image would sum to 1 + t, t = {t[j]:.3g}")
     counter = ((1.0 + t) / l)[:, None] + radius * (white.T - t[:, None] * lift) @ basis.T
     counter_image = WeightedStateSet(points=counter, weights=ellipsoid.support_weights)
     return DdiResult(

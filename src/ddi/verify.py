@@ -636,7 +636,9 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
     the rank test of :func:`range_volume_sq`, and every cloud solved
     must span all ``l`` dimensions, by its chart's rank cut; otherwise
     :class:`InvalidInputError` is raised.  Each cloud is then a simplex,
-    which the solver answers without iterating, at gap 0.
+    which :func:`mvee` answers in closed form, at gap 0 and without
+    iterating, from its chart's SVD: a solve takes that SVD and the
+    singular values of the measurement's ``l x l`` factor, no other.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets that fail design certification by at least

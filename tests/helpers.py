@@ -209,6 +209,20 @@ def solver_gap(x, weights):
     return max(leverage.max() / dim - 1.0, 1.0 - leverage[weights > 0].min() / dim)
 
 
+def simplex_ellipsoid_svd(cloud):
+    """``(center, axes, semi_axes)`` of a simplex cloud's ellipsoid by its own SVD.
+
+    A cloud of ``span_dim`` points is optimal at uniform weights; its
+    support is then the whole cloud, and the SVD of ``sqrt(d / m) (x -
+    mean x)`` in chart coordinates gives the axes and semi-axes.
+    """
+    x = chart_coordinates(cloud)
+    m, d = x.shape
+    center_x = x.mean(axis=0)
+    _, semi_axes, vt = np.linalg.svd(np.sqrt(d / m) * (x - center_x), full_matrices=False)
+    return cloud.base + cloud.chart @ center_x, vt.T, semi_axes
+
+
 def duality_gap_dense(cloud, weights):
     """Relative duality gap at ``weights``, from one dense solve on whitened points."""
     lifted = whitened_lift(chart_coordinates(cloud))

@@ -50,6 +50,7 @@ from helpers import (
     flat_cloud,
     mvee_dense,
     random_pure_density,
+    simplex_ellipsoid_svd,
     solver_gap,
     triangle_area,
 )
@@ -175,9 +176,10 @@ class TestProbabilityCloud:
         clouds += [mixtures(m, n, 3, e, seed) for seed in range(3)
                    for m, n in ((40, 12), (4, 4), (6, 12)) for e in (0.0, 1e-11, 1e-9, 1e-6)]
         for points in clouds:
-            chart, _ = _affine_chart(points)
+            chart, _, sv, right = _affine_chart(points)
             reference, conditioning = transposed_chart(points)
-            assert chart.shape == reference.shape
+            assert chart.shape == reference.shape == right.shape
+            assert sv.shape == (chart.shape[1],)
             # either SVD fixes a kept direction of relative thickness 1/k
             # only to about 1e-16 k, so a thin kept direction widens the bound
             tol = max(1e-12, 1e-14 * conditioning)
@@ -580,13 +582,28 @@ class TestEllipsoidToMeasurement:
         assemble_result(ellipsoid, cloud)
         assert counts == {"svd": 1, "solve": 0}
 
-    def test_simplex_solve_takes_three_svds(self, monkeypatch):
-        # the chart's, the weighted support's and K's singular values
+    def test_simplex_solve_takes_two_svds(self, monkeypatch):
+        # the chart's, which holds the support's axes, and K's singular values
         points = random_ic_quasi_measurement(12, 9, seed=3).matrix.T
         names = ("svd", "solve", "cholesky", "qr", "inv", "lstsq", "eigvalsh")
         counts = count_linalg_calls(monkeypatch, *names)
         ddi_on_ball(ProbabilityCloud(points))
-        assert counts == {**dict.fromkeys(names, 0), "svd": 3}
+        assert counts == {**dict.fromkeys(names, 0), "svd": 2}
+
+    @pytest.mark.parametrize("thin, off", [(1e-6, 5e-10), (1e-7, 1e-10), (1e-7, 5e-10)])
+    def test_simplex_with_a_row_sum_off_by_the_tolerance(self, thin, off):
+        # the offset tilts the thin centered direction off the hyperplane, so
+        # axes read off the centered SVD, not its hyperplane part, are not
+        # orthonormal in the canonical chart
+        points = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                           [0.25 + thin + off, 0.5 - 2.0 * thin, 0.25 + thin]])
+        cloud = ProbabilityCloud(points)
+        e = mvee(cloud)
+        _, axes, semi_axes = simplex_ellipsoid_svd(cloud)
+        np.testing.assert_array_equal(cloud.chart, hyperplane_basis(3))
+        np.testing.assert_allclose(e.semi_axes, semi_axes, rtol=1e-9)
+        np.testing.assert_allclose(e.root, (axes * semi_axes) @ axes.T,
+                                   rtol=0.0, atol=1e-12 * semi_axes[0])
 
     def test_rejects_an_ellipsoid_of_another_cloud(self):
         # both clouds span 3 dimensions, in 3 and in 4 outcomes
@@ -983,14 +1000,14 @@ class TestRoundTrip:
 
     def test_linalg_work_of_one_simulate_trial(self, monkeypatch):
         # one SVD for the input measurement, read by the sampler's rank test,
-        # the expected volume and the gauge fit; three per solve (chart, root
-        # and K); one stacked rank test for the perturbed simplices; one
-        # eigvalsh for their stacked frames and one for the certificate of
-        # the unperturbed solve
+        # the expected volume and the gauge fit; two per solve (the chart, whose
+        # SVD gives the root, and K); one stacked rank test for the perturbed
+        # simplices; one eigvalsh for their stacked frames and one for the
+        # certificate of the unperturbed solve
         counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq", "eigvalsh")
         meas = random_ic_quasi_measurement(12, 9, 1)
         inference_round_trip(meas, perturbations=3, seed=1)
-        assert counts == {"svd": 14, "pinv": 0, "lstsq": 0, "eigvalsh": 2}
+        assert counts == {"svd": 10, "pinv": 0, "lstsq": 0, "eigvalsh": 2}
 
 
 class TestCloudJson:

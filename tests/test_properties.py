@@ -7,8 +7,12 @@ Dirichlet family, n in 3..9, m in n + 1..120 and concentrations 0.3, 1
 and 3, against the dense reference iteration and the fresh gap.  A
 second family is almost flat: mixtures of three vertices in four
 outcomes, one of them lifted off their plane by a tiny step, where
-every returned result must still contain the cloud.  The volume and counter-image that the inference map
-reads off the ellipsoid's root are compared with SVD oracles on
+every returned result must still contain the cloud and the only refusal
+is a ``DegenerateInputError``.  Simplices seen through random
+measurements, a badly scaled one included, are solved in closed form
+and compared with the SVD of their support.  The volume and
+counter-image that the inference map reads off the ellipsoid's root
+are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
 measurement.  The numpy NNLS behind ``design_weights`` is compared
 with SciPy's on unit point sets, where the frame condition may have too
@@ -38,7 +42,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from ddi import (
     DEFAULT_TOL,
-    DdiError,
+    DegenerateInputError,
     DegenerateRangeError,
     Ellipsoid,
     InvalidInputError,
@@ -72,6 +76,7 @@ from helpers import (
     random_density,
     random_hermitian,
     random_pure_density,
+    simplex_ellipsoid_svd,
     solver_gap,
     turned_gauge,
 )
@@ -197,9 +202,10 @@ def test_solver_reaches_the_dense_optimum_with_a_fresh_gap(points, cap):
 
 
 def assert_answered_or_refused(points):
+    # a point lifted along the direction the chart dropped is the one refusal
     try:
         matrix = ddi_on_ball(ProbabilityCloud(points)).measurement.matrix
-    except DdiError:
+    except DegenerateInputError:
         return
     assert_contains(matrix, points)
 
@@ -219,6 +225,15 @@ def test_almost_flat_clouds_are_contained_or_refused(seed, log_e):
     assert_answered_or_refused(flat_cloud(seed, 10.0 ** log_e))
 
 
+def test_a_point_off_the_dropped_direction_is_refused():
+    # row 0's lift is too thin for the chart to keep, yet its offset from the
+    # hull, which the counter-image would carry, is above DEFAULT_TOL
+    with pytest.raises(DegenerateInputError, match=(
+            r"^point 0 lies off the cloud's hull along a direction the chart dropped: "
+            r"its counter-image would sum to 1 \+ t, t = -1.45e-09$")):
+        ddi_on_ball(ProbabilityCloud(flat_cloud(0, 10 ** -8.75)))
+
+
 @pytest.mark.parametrize("seed, e", [(3, 10 ** -7.5), (3, 1e-7), (5, 10 ** -6.75)])
 def test_almost_flat_clouds_once_answered_wrongly(seed, e):
     # a range built by a solve and eigh of the squared shape misses a point here by 1e-4..5e-4
@@ -230,6 +245,43 @@ def test_almost_flat_clouds_once_refused_are_answered(seed, e):
     # an SVD pseudoinverse of the nearly singular measurement refused these
     points = flat_cloud(seed, e)
     assert_contains(ddi_on_ball(ProbabilityCloud(points)).measurement.matrix, points)
+
+
+@st.composite
+def simplex_clouds(draw):
+    # l points through an IC measurement A: n == l gives the canonical chart,
+    # n > l the SVD chart, and the 6 x 6 draw at seed 6 has cond(A) 9.4e4
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        a = random_ic_quasi_measurement(6, 6, 6).matrix
+    else:
+        l = draw(st.integers(2, 7))
+        a = random_ic_quasi_measurement(draw(st.integers(l, l + 4)), l, rng).matrix
+    l = a.shape[1]
+    # below 1/2 no row-stochastic kick makes the simplex singular
+    kick = draw(st.floats(0.0, 0.4))
+    simplex = (1.0 - kick) * np.eye(l) + kick * rng.dirichlet(np.ones(l), l)
+    return simplex @ a.T
+
+
+@PROPERTY
+@given(points=simplex_clouds())
+def test_simplex_ellipsoid_matches_its_support_svd(points):
+    # the closed form reads the chart's SVD; the reference takes the support's
+    cloud = ProbabilityCloud(points)
+    e = mvee(cloud)
+    center, axes, semi_axes = simplex_ellipsoid_svd(cloud)
+    np.testing.assert_array_equal(e.support_weights, np.full(len(points), 1.0 / len(points)))
+    assert e.iterations == 0 and e.optimality_gap == 0.0
+    np.testing.assert_allclose(e.root, (axes * semi_axes) @ axes.T,
+                               rtol=0.0, atol=1e-12 * semi_axes[0])
+    reference = Ellipsoid(center=center, axes=axes, semi_axes=semi_axes, chart=cloud.chart,
+                          support_weights=e.support_weights, optimality_gap=0.0, iterations=0)
+    # either SVD fixes a semi-axis of relative size 1/k only to about 1e-16 k,
+    # and the volume multiplies them all (k is 8.6e4 on the badly scaled draw)
+    rel = max(1e-12, 1e-14 * semi_axes[0] / semi_axes[-1])
+    assert ddi_on_ball(cloud).volume_sq == pytest.approx(
+        assemble_result(reference, cloud).volume_sq, rel=rel)
 
 
 @st.composite
