@@ -80,9 +80,11 @@ def hyperplane_basis(l: int) -> np.ndarray:
 def _whole_number(value) -> int | None:
     """``value`` as an int when it is a whole, finite number, else None.
 
-    ``2.0`` reads as 2; ``True``, ``"3"``, ``2.5``, ``NaN`` and ``1e999`` do not.
+    ``2.0`` and ``np.int64(2)`` read as 2; ``True``, ``"3"``, ``2.5``,
+    ``NaN`` and ``1e999`` do not.
     """
-    if isinstance(value, float) and value.is_integer():  # false for nan and inf
+    # is_integer is false for nan and inf; a NumPy bool is no np.integer
+    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
         value = int(value)
     return value if type(value) is int else None  # bool is a subclass of int
 

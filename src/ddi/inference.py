@@ -42,10 +42,11 @@ the frame condition sum_j u_j s_j s_j^T = I/l, and its support lies on
 the pure-state sphere, so it is a weighted 2-design.  Every result
 therefore carries the counter-image with those weights; its design
 certificate, from :func:`ddi.designs.certify_design`, is computed on
-first read.  The closed form
-for clouds of exactly ``l`` points and the checks of the theory behind
-the map (volume bound, consistency bijection, round trip) live in
-:mod:`ddi.verify`.
+first read.  :func:`mvee` answers a simplex, a cloud of exactly ``l``
+points, itself, from its chart's SVD; :func:`ddi.verify.ddi_closed_form`
+is the ungauged closed form that tests compare it with.  The checks of
+the theory behind the map (volume bound, consistency bijection, round
+trip) live in :mod:`ddi.verify`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .errors import (
     NoConvergenceError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, _read_layout, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _read_layout, _whole_number, ball_radius, hyperplane_basis
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
@@ -92,14 +93,20 @@ class ProbabilityCloud:
 
     Attributes
     ----------
+    points : ndarray
+        The admitted rows, each moved onto the distribution hyperplane
+        along the all-ones direction, ``p + (1 - sum p) / n``, so they
+        sum to 1 up to rounding and every later check reads them at
+        ``DEFAULT_TOL`` whatever ``sum_tol`` admitted.  A row whose sum
+        is exactly 1 keeps its bits.
     span_dim : int
         Rank of the rows as vectors; this is the dimension ``l`` the
         inference routines reconstruct.  Must be at least 2.
     chart, base : ndarray
         Orthonormal ``(n, span_dim - 1)`` chart of the affine hull and its
         origin, the centroid; computed once here for every solve and draw.
-        It is read off an SVD of the centered rows less their row-sum
-        residue, which drops a direction thinner than ``DEFAULT_TOL`` times
+        It is read off an SVD of the centered rows, which lie in the
+        hyperplane, and drops a direction thinner than ``DEFAULT_TOL`` times
         the raw scale ``sqrt(s_1^2 + m |base|^2)``; the kept singular values
         and right vectors stay, private and read-only, for :func:`mvee` to
         read a simplex's ellipsoid off.
@@ -111,13 +118,14 @@ class ProbabilityCloud:
             raise InvalidInputError("cloud must be an (m, n) array with m >= 1, n >= 2")
         # einsum row sums do not warn on non-finite entries, so they screen
         # for them; only a sum that is not finite has isfinite look
-        worst = float(np.abs(np.einsum("ij->i", points) - 1.0).max())
+        residue = 1.0 - np.einsum("ij->i", points)
+        worst = float(np.abs(residue).max())
         if not math.isfinite(worst) and not np.isfinite(points).all():
             raise InvalidInputError("cloud entries must be finite")
         if not worst <= sum_tol:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
-        self.points = points.copy()
+        self.points = points + (residue / points.shape[1])[:, None]
         self.chart, self.base, self._sv, self._right = _affine_chart(self.points)
         self.span_dim = self.chart.shape[1] + 1
         if self.span_dim < 2:
@@ -205,13 +213,14 @@ def _sign_fix_columns(w: np.ndarray) -> np.ndarray:
 
 
 def _affine_chart(points: np.ndarray):
-    """Chart (n, rank), base point, and the kept singular values and vectors."""
+    """Chart (n, rank), base point, and the kept singular values and vectors.
+
+    The rows lie on the hyperplane, where :class:`ProbabilityCloud` puts
+    them, so the chart of the centered rows lies in it too.
+    """
     base = points.sum(axis=0) / len(points)
     n = points.shape[1]
-    # rows sum to 1 within sum_tol: drop that part to keep the chart in the hyperplane
-    centered = points - base
-    centered -= (centered.sum(axis=1) / n)[:, None]
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    _, sv, vt = np.linalg.svd(points - base, full_matrices=False)
     scale = np.sqrt(sv[0] ** 2 + len(points) * (base @ base))
     # centered rows sum to 0 up to rounding, so at most n - 1 axes are kept
     rank = int(np.count_nonzero(sv > DEFAULT_TOL * scale))
@@ -241,35 +250,38 @@ def _face_newton(lifted: np.ndarray, inverse: np.ndarray, u: np.ndarray, support
 
     With ``G = A_S inverse A_S^T`` the gradient on the face is ``diag(G)``
     and the Hessian is ``-(G o G)``, positive definite only when the lifts
-    ``a a^T`` of the support are independent.  One multiplier keeps the
-    sum, the step is cut where a weight reaches 0 (that point drops out),
-    and it is returned only when the face's log det rises: the new
-    weights, or None.
+    ``a a^T`` of the support are independent.  The step ``d`` solves the
+    equality-constrained Newton system (KKT form)
+
+        [[G o G, 1], [1^T, 0]] [d; lam] = [diag(G); 0],
+
+    read off one solve ``(G o G) [y, z] = [diag(G), 1]`` as ``d = y - (sum
+    y / sum z) z``.  One ratio test over the support weights, all positive,
+    cuts it: with ``rate = d / u_S``, the step is 1 when ``min rate >= -1``
+    and ``-1 / min rate`` otherwise, where the weight at the minimum is set
+    to 0 (that point drops out).  The step is returned only when the face's
+    log det rises: the new weights, or None.
     """
     a = lifted[support]
     g = a @ inverse @ a.T
+    rhs = np.stack([np.diagonal(g), np.ones(support.size)], axis=1)
     try:
-        factor_inv = np.linalg.inv(np.linalg.cholesky(g * g))
+        y, z = np.linalg.solve(g * g, rhs).T
     except np.linalg.LinAlgError:
         return None
-    # whitened by the Cholesky factor, the multiplier is one projection
-    grad, ones = factor_inv @ np.diagonal(g), factor_inv.sum(axis=1)
-    direction = factor_inv.T @ (grad - (grad @ ones) / (ones @ ones) * ones)
+    direction = y - (y.sum() / z.sum()) * z
     weights = u[support]
-    step, drop = 1.0, None
-    shrinking = np.flatnonzero(direction < 0.0)
-    if shrinking.size:
-        cuts = -weights[shrinking] / direction[shrinking]
-        first = int(cuts.argmin())
-        if cuts[first] < 1.0:
-            step, drop = float(cuts[first]), shrinking[first]
+    rate = direction / weights
+    first = int(rate.argmin())
+    step = 1.0 if rate[first] >= -1.0 else -1.0 / rate[first]
     weights = np.maximum(weights + step * direction, 0.0)
-    if drop is not None:
-        weights[drop] = 0.0
+    if step < 1.0:
+        weights[first] = 0.0
     # log det M(new) - log det M(u) is log det(inverse @ M(new)); a rise lost to
-    # rounding reads <= 0 and is refused, leaving the move to the ordinary step
+    # rounding reads <= 0 and is refused, leaving the move to the ordinary step;
+    # a NaN sign or rise fails closed
     sign, rise = np.linalg.slogdet(inverse @ (a.T @ (weights[:, None] * a)))
-    if sign <= 0.0 or rise <= 0.0:
+    if not (sign > 0.0 and rise > 0.0):
         return None
     new = np.zeros_like(u)
     new[support] = weights
@@ -426,6 +438,10 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
 
     Raises
     ------
+    InvalidInputError
+        When ``eps`` is not positive and finite, or ``max_iter`` is not a
+        whole number >= 1 (``3.0`` and NumPy integers read as whole;
+        ``True``, ``2.5``, NaN and infinity do not).
     NoConvergenceError
         When ``max_iter`` steps do not reach the gap; the exception's
         ``partial`` is the ellipsoid at the last weights, with their gap.
@@ -434,8 +450,9 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     """
     if not 0.0 < eps < math.inf:
         raise InvalidInputError(f"eps must be positive and finite, got {eps}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
+    cap = _whole_number(max_iter)
+    if cap is None or cap < 1:
+        raise InvalidInputError(f"max_iter must be a whole number >= 1, got {max_iter!r:.40}")
     m, d = len(cloud), cloud.span_dim - 1
     chart, base = cloud.chart, cloud.base
     x = (cloud.points - base) @ chart
@@ -444,7 +461,7 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         center_x = weights @ x
         semi_axes, vt = math.sqrt(d / m) * cloud._sv, cloud._right.T @ chart
     else:
-        weights, gap, iterations = _khachiyan_weights(x, eps, int(max_iter))
+        weights, gap, iterations = _khachiyan_weights(x, eps, cap)
         center_x = weights @ x
         # the thin SVD A = U S V^T gives the principal axes V and semi-axes
         # S, so root = V S V^T; shape = A^T A is never formed

@@ -102,6 +102,17 @@ class TestInfer:
         assert partial["optimality_gap"] > 1e-9
         assert partial["iterations"] == 2
 
+    def test_rounded_frequencies_are_answered_within_tol(self, tmp_path):
+        # frequencies written to 6 decimals miss a row sum of 1 by up to
+        # 1e-6; --tol 1e-5 admits them, and the cloud puts them back on the
+        # hyperplane, so the later checks at 1e-9 hold
+        points = np.round(np.random.default_rng(1010).dirichlet(np.ones(4), 12), 6)
+        inp = write_json(tmp_path / "rounded.json", {"n": 4, "distributions": points.tolist()})
+        out = tmp_path / "result.json"
+        assert main(["infer", inp, "--output", str(out)]) == EXIT_INVALID_INPUT
+        assert main(["infer", inp, "--tol", "1e-5", "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["optimality_gap"] <= 1e-9
+
     def test_counter_image_verifies_as_design(self, tmp_path, capsys):
         out = tmp_path / "result.json"
         assert main(["infer", pure_qubit_cloud(tmp_path), "--output", str(out)]) == EXIT_OK

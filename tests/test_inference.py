@@ -75,6 +75,18 @@ def qutrit_cloud(seed, m=200):
                                       for _ in range(m)]))
 
 
+def simplex_support(dim):
+    """``dim`` affinely independent lifted points, their weights and inverse scatter.
+
+    Point 0 weighs 0.2 and the others 0.8 / (dim - 1) each.
+    """
+    rng = np.random.default_rng(0)
+    lifted = np.hstack([rng.standard_normal((dim, dim - 1)), np.ones((dim, 1))])
+    u = np.full(dim, 0.8 / (dim - 1))
+    u[0] = 0.2
+    return lifted, np.linalg.inv(lifted.T @ (u[:, None] * lifted)), u
+
+
 def count_face_steps(monkeypatch):
     """Record, for each Newton step the solver tries, whether it was taken."""
     taken = []
@@ -129,6 +141,16 @@ class TestProbabilityCloud:
         for points in ([[0.6, 0.6], [1.0, 0.0], [0.0, 1.0]], np.eye(3)):
             with pytest.raises(InvalidInputError, match="sum to 1"):
                 ProbabilityCloud(np.array(points), sum_tol=float("nan"))
+
+    def test_admitted_rows_are_moved_onto_the_hyperplane(self):
+        # each row moves along the all-ones direction, p + (1 - sum p) / n,
+        # so its sum is 1 up to rounding; a row summing to 1 keeps its bits
+        points = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5 + 3e-6], [0.2, 0.3, 0.5 - 6e-6]])
+        cloud = ProbabilityCloud(points, sum_tol=1e-5)
+        np.testing.assert_array_equal(cloud.points[0], points[0])
+        np.testing.assert_allclose(cloud.points[1:], points[1:] + [[-1e-6], [2e-6]],
+                                   rtol=0.0, atol=1e-15)
+        assert np.abs(cloud.points.sum(axis=1) - 1.0).max() <= 1e-15
 
     def test_rejects_rank_one(self):
         with pytest.raises(DegenerateInputError):
@@ -390,24 +412,23 @@ class TestMvee:
     @pytest.mark.parametrize("cloud", [dirichlet_cloud(30, 5, 7), dirichlet_cloud(60, 6, 12),
                                        dirichlet_cloud(20, 4, 19)])
     def test_newton_steps_taken_raise_the_log_det(self, cloud, monkeypatch):
-        # on these clouds some Newton steps near the optimum measure a rise
-        # of at most 0 (rounding), with an invertible Hessian: refused (1, 1
-        # and 3 of them); about 1 in 10 random clouds has such a step
+        # near the optimum a step's rise can fall below what slogdet
+        # resolves and be refused; whether one is depends on rounding, so
+        # the refusal branch has its own tests below, and here every step
+        # taken must have raised the log det
         face_newton = inference._face_newton
-        rises, refused = [], []
+        rises = []
 
         def spy(lifted, inverse, u, support):
             new = face_newton(lifted, inverse, u, support)
-            if new is None:
-                refused.append(u)
-            else:
+            if new is not None:
                 a = lifted[support]
                 rises.append(np.linalg.slogdet(inverse @ (a.T @ (new[support, None] * a))))
             return new
 
         monkeypatch.setattr(inference, "_face_newton", spy)
         assert mvee(cloud).optimality_gap <= 1e-9
-        assert refused and rises
+        assert rises
         assert all(sign > 0.0 and rise > 0.0 for sign, rise in rises)
 
     @pytest.mark.parametrize("dim, taken", [(9, True), (12, False)])
@@ -418,11 +439,7 @@ class TestMvee:
         # equal it keeps every weight positive at dim 9 and is taken; at
         # dim 12 it would make w_1 negative, so it is cut at w_1 = 0, where
         # the other dim - 1 points leave the scatter singular, and refused
-        rng = np.random.default_rng(0)
-        lifted = np.hstack([rng.standard_normal((dim, dim - 1)), np.ones((dim, 1))])
-        u = np.full(dim, 0.8 / (dim - 1))
-        u[0] = 0.2
-        inverse = np.linalg.inv(lifted.T @ (u[:, None] * lifted))
+        lifted, inverse, u = simplex_support(dim)
         closed_form = 2.0 * u - u * u / (u @ u)
         new = inference._face_newton(lifted, inverse, u, np.arange(dim))
         assert bool(closed_form.min() > 0.0) is taken
@@ -431,17 +448,42 @@ class TestMvee:
         else:
             assert new is None
 
+    @pytest.mark.parametrize("dim", [9, 12], ids=["taken", "refused"])
+    def test_a_newton_attempt_takes_one_solve_and_one_slogdet(self, dim, monkeypatch):
+        # the KKT system is one solve with two right-hand sides, and the
+        # acceptance test one slogdet; there is no factor to invert
+        lifted, inverse, u = simplex_support(dim)
+        names = ("solve", "slogdet", "cholesky", "inv", "lstsq")
+        counts = count_linalg_calls(monkeypatch, *names)
+        inference._face_newton(lifted, inverse, u, np.arange(dim))
+        assert counts == {**dict.fromkeys(names, 0), "solve": 1, "slogdet": 1}
+
+    @pytest.mark.parametrize("reported", [
+        (1.0, 0.0), (1.0, -2.2e-16), (1.0, -np.inf), (-1.0, 1.0), (0.0, 1.0),
+        (1.0, np.nan), (np.nan, 1.0), (np.nan, np.nan),
+    ], ids=["zero", "rounding", "singular", "negative-sign", "zero-sign",
+            "nan-rise", "nan-sign", "nan-both"])
+    def test_face_newton_refuses_a_rise_slogdet_does_not_confirm(self, reported, monkeypatch):
+        # the step below is taken (test above); a rise that reads <= 0, a
+        # sign that is not +1 and a NaN in either all refuse it
+        lifted, inverse, u = simplex_support(9)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda matrix: reported)
+        assert inference._face_newton(lifted, inverse, u, np.arange(9)) is None
+
     def test_max_iter_counts_newton_steps(self, monkeypatch):
         # two rotated simplices on the sphere, one vertex pushed out by 1%:
         # the uniform start is within 1e-2 of the optimum on a support of
-        # 10 <= 5 * 6 / 2 points, so every step is a Newton step
+        # 10 <= 5 * 6 / 2 points, so every step is a Newton attempt; the
+        # last one sits at gap 1.8e-8, where the true rise is below what
+        # slogdet resolves, so whether it is taken or left to an ordinary
+        # step is rounding; every earlier one is taken
         rng = np.random.default_rng(1)
         points = design_union(5, rng)
         points[0] = 0.2 + 1.01 * (points[0] - 0.2)
         cloud = ProbabilityCloud(points)
         taken = count_face_steps(monkeypatch)
         full = mvee(cloud)
-        assert taken == [True] * full.iterations
+        assert len(taken) == full.iterations and all(taken[:-1])
         taken.clear()
         with pytest.raises(NoConvergenceError) as info:
             mvee(cloud, max_iter=3)
@@ -468,6 +510,21 @@ class TestMvee:
             mvee(cloud, eps=0.0)
         with pytest.raises(InvalidInputError):
             mvee(cloud, max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [
+        float("inf"), float("nan"), 2.5, True, np.True_, -1, "3", None,
+    ], ids=["inf", "nan", "fraction", "true", "numpy-true", "negative", "string", "none"])
+    def test_rejects_a_max_iter_that_is_not_a_whole_number(self, max_iter):
+        # int() would raise on inf and nan, and run 2 steps for 2.5 and 1 for True
+        with pytest.raises(InvalidInputError, match="max_iter must be a whole number"):
+            mvee(dirichlet_cloud(30, 4, 1), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [3, 3.0, np.int64(3), np.int32(3)],
+                             ids=["int", "float", "int64", "int32"])
+    def test_a_whole_max_iter_caps_the_steps(self, max_iter):
+        with pytest.raises(NoConvergenceError) as info:
+            mvee(dirichlet_cloud(30, 4, 1), max_iter=max_iter)
+        assert info.value.partial.iterations == 3
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_rejects_non_finite_eps(self, eps):

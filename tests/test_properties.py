@@ -8,7 +8,12 @@ and 3, against the dense reference iteration and the fresh gap.  A
 second family is almost flat: mixtures of three vertices in four
 outcomes, one of them lifted off their plane by a tiny step, where
 every returned result must still contain the cloud and the only refusal
-is a ``DegenerateInputError``.  Simplices seen through random
+is a ``DegenerateInputError``; the same holds for Dirichlet clouds with
+row sums off by up to the cloud's ``sum_tol``.  An uncut face Newton
+step, taken at weights mixed from the optimum toward a random point of
+its face, is compared with a dense solve of its KKT system.  The round
+trip's perturbed excess is compared with Hadamard's closed form
+``1 / det(S)^2 - 1``.  Simplices seen through random
 measurements, a badly scaled one included, are solved in closed form
 and compared with the SVD of their support.  The volume and
 counter-image that the inference map reads off the ellipsoid's root
@@ -36,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -55,6 +60,7 @@ from ddi import (
     embed_density,
     embed_effect,
     hyperplane_basis,
+    inference_round_trip,
     is_informationally_complete,
     mvee,
     pseudoinverse,
@@ -63,9 +69,10 @@ from ddi import (
     range_volume_sq,
     validate,
 )
+from ddi import inference
 from ddi.inference import assemble_result
 
-from ddi.verify import _nnls, design_weights
+from ddi.verify import _nnls, _perturbed_simplices, design_weights
 from helpers import (
     chart_coordinates,
     embed_density_einsum,
@@ -79,6 +86,7 @@ from helpers import (
     simplex_ellipsoid_svd,
     solver_gap,
     turned_gauge,
+    whitened_lift,
 )
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -201,6 +209,34 @@ def test_solver_reaches_the_dense_optimum_with_a_fresh_gap(points, cap):
     assert partial.optimality_gap == solver_gap(x, partial.support_weights)
 
 
+@PROPERTY
+@given(points=solver_clouds(), mix=st.floats(0.01, 0.3), seed=st.integers(0, 2 ** 32 - 1))
+def test_an_uncut_newton_step_solves_the_bordered_system(points, mix, seed):
+    # weights mixed from the optimum toward a random point of its face: the
+    # support's lifts are independent, G o G is well conditioned and the
+    # step is rarely cut; uncut, it is the Newton step of the KKT system
+    # [[G o G, 1], [1^T, 0]] [d; lam] = [diag G; 0], solved densely here
+    cloud = ProbabilityCloud(points)
+    optimum = mvee(cloud).support_weights
+    support = np.flatnonzero(optimum)
+    lifted = whitened_lift(chart_coordinates(cloud))
+    dim = lifted.shape[1]
+    assume(support.size <= dim * (dim + 1) // 2)
+    u = np.zeros(len(points))
+    u[support] = ((1.0 - mix) * optimum[support]
+                  + mix * np.random.default_rng(seed).dirichlet(np.ones(support.size)))
+    a = lifted[support]
+    inverse = np.linalg.inv(a.T @ (u[support, None] * a))
+    new = inference._face_newton(lifted, inverse, u, support)
+    assume(new is not None and new[support].min() > 0.0)
+    g = a @ inverse @ a.T
+    ones = np.ones((support.size, 1))
+    bordered = np.block([[g * g, ones], [ones.T, np.zeros((1, 1))]])
+    step = np.linalg.lstsq(bordered, np.append(np.diagonal(g), 0.0), rcond=None)[0][:-1]
+    np.testing.assert_allclose(new[support] - u[support], step, rtol=0.0,
+                               atol=1e-8 * np.abs(step).max())
+
+
 def assert_answered_or_refused(points):
     # a point lifted along the direction the chart dropped is the one refusal
     try:
@@ -223,6 +259,23 @@ def assert_contains(matrix, points):
 @given(seed=st.integers(0, 2 ** 32 - 1), log_e=st.floats(-12.0, -3.0))
 def test_almost_flat_clouds_are_contained_or_refused(seed, log_e):
     assert_answered_or_refused(flat_cloud(seed, 10.0 ** log_e))
+
+
+@PROPERTY
+@given(points=dirichlet_points(), log_tol=st.floats(-9.0, -3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_within_the_sum_tolerance_are_answered(points, log_tol, seed):
+    # entrywise noise below sum_tol / n moves a row sum by less than
+    # sum_tol; the cloud puts each row back on the hyperplane, so the
+    # later checks at DEFAULT_TOL hold for the moved rows
+    sum_tol = 10.0 ** log_tol
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, points.shape)
+    cloud = ProbabilityCloud(points + sum_tol / points.shape[1] * noise, sum_tol=sum_tol)
+    try:
+        matrix = ddi_on_ball(cloud).measurement.matrix
+    except DegenerateInputError:
+        return
+    assert_contains(matrix, cloud.points)
 
 
 def test_a_point_off_the_dropped_direction_is_refused():
@@ -282,6 +335,22 @@ def test_simplex_ellipsoid_matches_its_support_svd(points):
     rel = max(1e-12, 1e-14 * semi_axes[0] / semi_axes[-1])
     assert ddi_on_ball(cloud).volume_sq == pytest.approx(
         assemble_result(reference, cloud).volume_sq, rel=rel)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.sampled_from(((12, 9), (6, 4), (5, 5), (8, 3))))
+def test_perturbed_excess_is_the_hadamard_gap(seed, shape):
+    # a perturbed simplex S of l unit rows pushed through M has an optimum
+    # of squared volume det(S)^2 det(M^T M), so the excess is 1/det(S)^2 - 1:
+    # >= 0 by Hadamard's inequality, 0 exactly when S is orthonormal (a design)
+    n, l = shape
+    report = inference_round_trip(random_ic_quasi_measurement(n, l, seed),
+                                  perturbations=3, seed=seed)
+    simplices, _ = _perturbed_simplices(l, 3, np.random.default_rng(seed))
+    hadamard = 1.0 / np.linalg.det(simplices) ** 2 - 1.0
+    assert (hadamard > 0.0).all()
+    np.testing.assert_allclose(report.perturbed_excess, hadamard, rtol=1e-9, atol=0.0)
 
 
 @st.composite
