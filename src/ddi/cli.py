@@ -164,11 +164,12 @@ def cmd_embed(args) -> int:
 def _trial_measurement(n: int, l: int, trial_seed: int) -> QuasiMeasurement:
     from .verify import random_ic_quasi_measurement  # the harness stays off the other commands
 
+    # one message for both instances, before the sampler reads the sizes
+    if l < 2 or n < l:
+        raise InvalidInputError(
+            f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
     if trial_seed < 0:
         # negative seed convention: deterministic identity-block instance
-        if l < 2 or n < l:
-            raise InvalidInputError(
-                f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
         return validate(np.eye(n, l))
     return random_ic_quasi_measurement(n, l, trial_seed)
 

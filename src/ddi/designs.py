@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOL, _read_layout
+from .geometry import DEFAULT_TOL, _array, _read_layout
 
 #: Default certification threshold on the frame-operator deviation.
 DESIGN_TOL = 1e-9
@@ -43,8 +43,8 @@ class WeightedStateSet:
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writeable
-        points = np.array(self.points, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        points = _array(self.points, "points").copy()
+        weights = _array(self.weights, "weights").copy()
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("points must form an (m, l) array with m >= 1, l >= 2")
         if weights.shape != (points.shape[0],):

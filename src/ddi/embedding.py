@@ -44,10 +44,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOL, _read_layout, hyperplane_basis
+from .geometry import DEFAULT_TOL, _read_layout, _size, hyperplane_basis
 
 
-@lru_cache
 def traceless_hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal basis of traceless Hermitian ``d x d`` matrices.
 
@@ -57,8 +56,11 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     of shape ``(d*d - 1, d, d)``.  Each ``d`` is built once and the same
     read-only array is returned on every call.
     """
-    if d < 2:
-        raise InvalidInputError(f"Hilbert dimension must be >= 2, got {d}")
+    return _gell_mann_basis(_size(d, "Hilbert dimension", 2))
+
+
+@lru_cache
+def _gell_mann_basis(d: int) -> np.ndarray:
     basis = np.zeros((d * d - 1, d, d), dtype=complex)
     idx = 0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
@@ -82,12 +84,6 @@ def traceless_hermitian_basis(d: int) -> np.ndarray:
     return basis
 
 
-def _hilbert_dimension(d) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise InvalidInputError(f"Hilbert dimension must be an int >= 2, got {d!r}")
-    return int(d)
-
-
 @dataclass(frozen=True, eq=False)
 class StateEmbedding:
     """Quantum embedding of Hilbert dimension ``d`` in the fixed gauge.
@@ -109,7 +105,7 @@ class StateEmbedding:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _hilbert_dimension(self.d))
+        object.__setattr__(self, "d", _size(self.d, "Hilbert dimension", 2))
 
     @property
     def operator_basis(self) -> np.ndarray:
@@ -172,7 +168,7 @@ class StateEmbedding:
         Every call for the same ``d`` returns one shared instance, whose
         cached map is built once.
         """
-        return _shared_embedding(_hilbert_dimension(d))
+        return _shared_embedding(_size(d, "Hilbert dimension", 2))
 
 
 _shared_embedding = lru_cache(StateEmbedding)

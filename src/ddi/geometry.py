@@ -30,18 +30,14 @@ def unit_effect(l: int) -> np.ndarray:
     Parameters
     ----------
     l : int
-        Formalism dimension, at least 2.
+        Formalism dimension, a whole number at least 2.
     """
-    if not isinstance(l, (int, np.integer)) or l < 2:
-        raise InvalidInputError(f"formalism dimension must be an int >= 2, got {l!r}")
-    return np.ones(int(l))
+    return np.ones(_size(l, "formalism dimension", 2))
 
 
 def ball_radius(l: int) -> float:
     """Radius of the state ball within the hyperplane."""
-    if l < 2:
-        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
-    return float(np.sqrt(1.0 - 1.0 / l))
+    return float(np.sqrt(1.0 - 1.0 / _size(l, "formalism dimension", 2)))
 
 
 def pseudoinverse(a: np.ndarray) -> np.ndarray:
@@ -50,13 +46,12 @@ def pseudoinverse(a: np.ndarray) -> np.ndarray:
     Singular values of at most ``DEFAULT_TOL`` times the largest are
     zeroed.  Satisfies the four Penrose identities to rounding accuracy.
     """
-    a = np.asarray(a, dtype=float)
+    a = _array(a, "matrix")
     if a.ndim != 2 or a.size == 0 or not np.all(np.isfinite(a)):
         raise InvalidInputError("pseudoinverse requires a finite 2-d array")
     return np.linalg.pinv(a, rcond=DEFAULT_TOL)
 
 
-@lru_cache
 def hyperplane_basis(l: int) -> np.ndarray:
     """Orthonormal basis of the subspace of R^l orthogonal to the all-ones vector.
 
@@ -66,8 +61,11 @@ def hyperplane_basis(l: int) -> np.ndarray:
     deterministic, so it doubles as the canonical gauge.  Each ``l`` is
     built once and the same read-only array is returned on every call.
     """
-    if l < 2:
-        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
+    return _helmert_basis(_size(l, "formalism dimension", 2))
+
+
+@lru_cache
+def _helmert_basis(l: int) -> np.ndarray:
     cols = np.zeros((l, l - 1))
     for k in range(1, l):
         cols[:k, k - 1] = 1.0
@@ -77,42 +75,48 @@ def hyperplane_basis(l: int) -> np.ndarray:
     return cols
 
 
-def _whole_number(value) -> int | None:
-    """``value`` as an int when it is a whole, finite number, else None.
+def _size(value, what: str, minimum: int) -> int:
+    """``value`` as an int when it is a whole, finite number >= ``minimum``.
 
-    ``2.0`` and ``np.int64(2)`` read as 2; ``True``, ``"3"``, ``2.5``,
-    ``NaN`` and ``1e999`` do not.
+    ``3.0`` and ``np.int64(3)`` read as 3; ``True``, ``"3"``, ``2.5``,
+    NaN, ``1e999`` and a value below ``minimum`` raise
+    :class:`InvalidInputError`, whose message starts with ``what``.
     """
     # is_integer is false for nan and inf; a NumPy bool is no np.integer
-    if isinstance(value, np.integer) or isinstance(value, float) and value.is_integer():
+    if isinstance(value, np.integer) or (
+            isinstance(value, (float, np.floating)) and value.is_integer()):
         value = int(value)
-    return value if type(value) is int else None  # bool is a subclass of int
+    # bool is a subclass of int
+    if type(value) is not int or value < minimum:
+        raise InvalidInputError(f"{what} must be a whole number >= {minimum}, got {value!r:.40}")
+    return value
+
+
+def _array(value, what: str) -> np.ndarray:
+    """``value`` as a float array, converted only from an integer one.
+
+    Ragged input, strings, nulls, bools, complex numbers and integers beyond
+    64 bits raise :class:`InvalidInputError`, whose message starts with ``what``.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged
+        raise InvalidInputError(f"{what} must be a rectangular array: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must be a real numeric array, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def _read_layout(obj, kind: str, sizes: tuple[str, ...], arrays: tuple[str, ...]) -> list:
     """Each size of a parsed JSON layout as an int, then each array as floats.
 
-    Sizes must be whole, finite numbers (``2.0`` reads as 2; ``true``, ``"3"``,
-    ``2.5``, ``NaN`` and ``1e999`` do not) and arrays rectangular and numeric;
-    otherwise, or on a missing key, :class:`InvalidInputError` is raised.
+    Sizes are read by :func:`_size`, at least 1, and arrays by
+    :func:`_array`; a refused value or a missing key raises
+    :class:`InvalidInputError`.
     """
     malformed = f"malformed {kind} object: "
     keys = (*sizes, *arrays)
     if not isinstance(obj, dict) or not all(key in obj for key in keys):
         raise InvalidInputError(f"{malformed}need a JSON object with keys {', '.join(keys)}")
-    read = []
-    for key in sizes:
-        size = _whole_number(obj[key])
-        if size is None:
-            raise InvalidInputError(
-                f"{malformed}{key} must be a whole number, got {obj[key]!r:.40}")
-        read.append(size)
-    for key in arrays:
-        try:
-            array = np.asarray(obj[key])
-        except ValueError as exc:  # ragged
-            raise InvalidInputError(f"{malformed}{key}: {exc}") from exc
-        if array.dtype.kind not in "iuf":  # strings, nulls, integers beyond 64 bits
-            raise InvalidInputError(f"{malformed}{key} must be a numeric array")
-        read.append(array.astype(float, copy=False))
-    return read
+    return ([_size(obj[key], malformed + key, 1) for key in sizes]
+            + [_array(obj[key], malformed + key) for key in arrays])

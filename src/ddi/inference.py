@@ -52,6 +52,7 @@ trip) live in :mod:`ddi.verify`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +65,7 @@ from .errors import (
     NoConvergenceError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, _read_layout, _whole_number, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _array, _read_layout, _size, ball_radius, hyperplane_basis
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
@@ -113,7 +114,7 @@ class ProbabilityCloud:
     """
 
     def __init__(self, points, sum_tol: float = DEFAULT_TOL):
-        points = np.asarray(points, dtype=float)
+        points = _array(points, "cloud")
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("cloud must be an (m, n) array with m >= 1, n >= 2")
         # einsum row sums do not warn on non-finite entries, so they screen
@@ -157,8 +158,8 @@ class Ellipsoid:
 
     With ``k`` the chart's columns, the center must have shape ``(n,)``,
     the chart ``(n, k)``, the axes ``(k, k)`` and the semi-axes ``(k,)``,
-    all finite, the gap finite and nonnegative and the iterations
-    nonnegative; anything else is an :class:`InvalidInputError`.
+    all finite, the gap finite and nonnegative and the iterations a whole
+    number >= 0; anything else is an :class:`InvalidInputError`.
     """
 
     center: np.ndarray
@@ -171,7 +172,8 @@ class Ellipsoid:
 
     def __post_init__(self):
         for name in ("center", "axes", "semi_axes", "chart"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _array(getattr(self, name), f"ellipsoid {name}"))
+        object.__setattr__(self, "iterations", _size(self.iterations, "ellipsoid iterations", 0))
         center, axes, semi_axes, chart = self.center, self.axes, self.semi_axes, self.chart
         if chart.ndim != 2 or chart.shape[1] < 1:
             raise InvalidInputError("ellipsoid chart must be an (n, k) array with k >= 1")
@@ -181,10 +183,9 @@ class Ellipsoid:
                 f"ellipsoid center, axes and semi-axes must have shapes ({n},), "
                 f"({k}, {k}) and ({k},) for a ({n}, {k}) chart")
         # every test below fails closed on NaN
-        if not (0.0 <= self.optimality_gap < math.inf and self.iterations >= 0):
+        if not 0.0 <= self.optimality_gap < math.inf:
             raise InvalidInputError(
-                f"ellipsoid gap must be finite and >= 0 and iterations >= 0, "
-                f"got {self.optimality_gap} and {self.iterations}")
+                f"ellipsoid gap must be finite and >= 0, got {self.optimality_gap}")
         if not np.isfinite(center).all():
             raise InvalidInputError("ellipsoid center must be finite")
         if not (semi_axes.min() > 0.0 and semi_axes.max() < math.inf):
@@ -439,20 +440,20 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
     Raises
     ------
     InvalidInputError
-        When ``eps`` is not positive and finite, or ``max_iter`` is not a
-        whole number >= 1 (``3.0`` and NumPy integers read as whole;
-        ``True``, ``2.5``, NaN and infinity do not).
+        When ``eps`` is not a positive, finite real number (a bool or a
+        string is none), or ``max_iter`` is not a whole number >= 1
+        (``3.0`` and NumPy integers read as whole; ``True``, ``2.5``, NaN
+        and infinity do not).
     NoConvergenceError
         When ``max_iter`` steps do not reach the gap; the exception's
         ``partial`` is the ellipsoid at the last weights, with their gap.
         A NaN gap builds no ellipsoid, so no partial: the constructor
         refuses it with :class:`InvalidInputError`.
     """
-    if not 0.0 < eps < math.inf:
-        raise InvalidInputError(f"eps must be positive and finite, got {eps}")
-    cap = _whole_number(max_iter)
-    if cap is None or cap < 1:
-        raise InvalidInputError(f"max_iter must be a whole number >= 1, got {max_iter!r:.40}")
+    # bool is a subclass of int; a NumPy bool is no numbers.Real
+    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0.0 < eps < math.inf):
+        raise InvalidInputError(f"eps must be a positive, finite real number, got {eps!r:.40}")
+    cap = _size(max_iter, "max_iter", 1)
     m, d = len(cloud), cloud.span_dim - 1
     chart, base = cloud.chart, cloud.base
     x = (cloud.points - base) @ chart

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateRangeError, InvalidInputError, NotAQuasiMeasurementError
-from .geometry import DEFAULT_TOL, _read_layout
+from .geometry import DEFAULT_TOL, _array, _read_layout
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class QuasiMeasurement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = _array(self.matrix, "measurement")
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 2:
             raise InvalidInputError("measurement must be an (n, l) matrix with n >= 1, l >= 2")
         if not np.isfinite(matrix).all():
@@ -118,7 +118,7 @@ def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
     state; for rank-deficient ones that holds when ``s`` additionally
     lies in the measured row space.
     """
-    s = np.asarray(s, dtype=float)
+    s = _array(s, "state")
     if s.shape != (meas.l,):
         raise InvalidInputError(f"state must have length {meas.l}, got shape {s.shape}")
     if not np.all(np.isfinite(s)):

@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, _whole_number, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _array, _size, ball_radius, hyperplane_basis
 from .designs import (
     DESIGN_TOL,
     DesignCertificate,
@@ -50,7 +50,7 @@ def cone_functional(v: np.ndarray) -> float:
     state ball.  On the hyperplane ``u . v = 1`` this reduces to
     ``|v|^2 - 1``.
     """
-    v = np.asarray(v, dtype=float)
+    v = _array(v, "vector")
     total = float(v.sum())
     return float(v @ v) - total * total
 
@@ -61,7 +61,7 @@ def ball_membership(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     Both conditions are tested with absolute tolerance ``tol``:
     ``|u . s - 1| <= tol`` and ``f(s) <= tol``.
     """
-    s = np.asarray(s, dtype=float)
+    s = _array(s, "state")
     if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
         raise InvalidInputError("state must be a finite vector of length >= 2")
     return _rows_in_ball(s[None], tol)
@@ -81,8 +81,7 @@ def regular_simplex(l: int) -> WeightedStateSet:
     forming a regular simplex inscribed in the state ball, and the frame
     operator is exactly ``eye(l) / l``.
     """
-    if l < 2:
-        raise InvalidInputError(f"formalism dimension must be >= 2, got {l}")
+    l = _size(l, "formalism dimension", 2)
     return WeightedStateSet(points=np.eye(l), weights=np.full(l, 1.0 / l))
 
 
@@ -115,7 +114,7 @@ def rotate_set(states: WeightedStateSet, rotation: np.ndarray) -> WeightedStateS
     Weights are untouched; norms, pairwise angles, and any design
     property are preserved.
     """
-    rotation = np.asarray(rotation, dtype=float)
+    rotation = _array(rotation, "rotation")
     l = states.l
     if rotation.shape != (l, l):
         raise InvalidInputError(f"rotation must be {l} x {l}, got {rotation.shape}")
@@ -136,9 +135,8 @@ def haar_average_estimate(s: np.ndarray, samples: int,
     operator a 2-design reproduces; every sample has unit trace, so the
     estimate does too.
     """
-    s = np.asarray(s, dtype=float)
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    s = _array(s, "state")
+    samples = _size(samples, "samples", 1)
     if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
         raise InvalidInputError("state must be a finite vector of length >= 2")
     plane = abs(float(s.sum()) - 1.0)
@@ -152,7 +150,7 @@ def haar_average_estimate(s: np.ndarray, samples: int,
     total = np.zeros((l, l))
     done = 0
     while done < samples:
-        batch = min(int(samples) - done, 1 << 16)
+        batch = min(samples - done, 1 << 16)
         q = _haar_orthogonal_batch(l - 1, batch, rng)
         pts = np.ones((batch, l)) / l + (q @ x) @ basis.T
         total += pts.T @ pts
@@ -236,7 +234,7 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     inference result already carries its certifying weights, the
     solver's dual weights.
     """
-    points = np.asarray(points, dtype=float)
+    points = _array(points, "points")
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must form an (m, l) array")
     weights, deviation = _design_fit(points)
@@ -307,7 +305,8 @@ def random_ic_quasi_measurement(n: int, l: int,
     Gaussian tangent block with column sums fixed to 1; redrawn in the
     unlikely event of rank deficiency.  Deterministic for a fixed seed.
     """
-    if l < 2 or n < l:
+    n, l = _size(n, "n", 1), _size(l, "l", 2)
+    if n < l:
         raise InvalidInputError(
             f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
     rng = np.random.default_rng(seed)
@@ -339,9 +338,8 @@ def random_quasi_measurement(n: int, l: int, rank: int,
     a draw that fails either is redrawn.  With ``rank == l`` this
     reduces to an informationally complete draw.
     """
-    if l < 2 or n < 1:
-        raise InvalidInputError(f"need l >= 2 and n >= 1, got n={n}, l={l}")
-    if rank < 1 or rank > min(n, l):
+    n, l, rank = _size(n, "n", 1), _size(l, "l", 2), _size(rank, "rank", 1)
+    if rank > min(n, l):
         raise InvalidInputError(f"rank must lie in [1, min(n, l)], got {rank}")
     rng = np.random.default_rng(seed)
     ones_n = np.ones(n)
@@ -493,7 +491,7 @@ def sample_enclosing_square(points: np.ndarray, rng: np.random.Generator) -> Qua
     Draws a Gaussian tangent block and scales it so every state's
     counter-image lands strictly inside the ball.
     """
-    points = np.asarray(points, dtype=float)
+    points = _array(points, "points")
     l = points.shape[1]
     center = np.ones(l) / l
     return _sample_enclosing(points, hyperplane_basis(l), lambda: center, rng)
@@ -528,6 +526,7 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     the determinant factorization (to relative 1e-8) along the way.
     Returns True when all samples pass.
     """
+    samples = _size(samples, "samples", 1)
     if not is_informationally_complete(meas):
         raise InvalidInputError("bijection check requires an informationally complete measurement")
     if cloud.span_dim != meas.l:
@@ -539,7 +538,7 @@ def composition_bijection_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
         raise InvalidInputError("cloud must lie in the range of the measurement")
     counter_cloud = ProbabilityCloud(cloud.points @ pinv.T)
     rng = np.random.default_rng(seed)
-    for _ in range(int(samples)):
+    for _ in range(samples):
         inner = sample_enclosing_square(counter_cloud.points, rng)
         forward = validate(meas.matrix @ inner.matrix)
         if not feasibility_check(forward, cloud, 1e-8):
@@ -653,10 +652,7 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
     design, so any perturbation raises :class:`DegenerateInputError`
     before a draw is taken.
     """
-    count = _whole_number(perturbations)
-    if count is None or count < 0:
-        raise InvalidInputError(
-            f"perturbations must be a whole number >= 0, got {perturbations!r:.40}")
+    count = _size(perturbations, "perturbations", 0)
     try:
         expected = range_volume_sq(meas)
     except DegenerateRangeError as exc:

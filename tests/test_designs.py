@@ -39,6 +39,12 @@ class TestWeightedStateSet:
         with pytest.raises(InvalidInputError):
             WeightedStateSet(points=np.eye(2), weights=np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("points", [np.ones(3) / 3, np.ones((1, 1)), np.empty((0, 3))],
+                             ids=["vector", "one-coordinate", "no-rows"])
+    def test_rejects_points_that_are_no_rows_of_states(self, points):
+        with pytest.raises(InvalidInputError, match=r"points must form an \(m, l\) array"):
+            WeightedStateSet(points=points, weights=np.ones(1))
+
     def test_rejects_off_hyperplane_points(self):
         with pytest.raises(InvalidInputError):
             WeightedStateSet(points=np.array([[0.5, 0.4], [0.5, 0.5]]),
@@ -278,6 +284,12 @@ class TestHaarAverage:
     def test_rejects_mixed_state(self):
         with pytest.raises(InvalidInputError, match="requires a pure state on the hyperplane"):
             haar_average_estimate(np.ones(4) / 4, 10)
+
+    @pytest.mark.parametrize("s", [np.eye(3), np.ones(1), [1.0, np.nan, 0.0], [np.inf, 0.0]],
+                             ids=["matrix", "length-1", "nan", "inf"])
+    def test_rejects_what_is_no_finite_state_vector(self, s):
+        with pytest.raises(InvalidInputError, match="state must be a finite vector"):
+            haar_average_estimate(s, 10)
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(InvalidInputError):

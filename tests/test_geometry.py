@@ -39,7 +39,8 @@ class TestUnitEffect:
             assert u @ u == l
 
     def test_rejects_dimension_below_two(self):
-        with pytest.raises(InvalidInputError, match="formalism dimension must be an int >= 2"):
+        with pytest.raises(InvalidInputError,
+                           match="formalism dimension must be a whole number >= 2"):
             unit_effect(1)
 
 
@@ -70,6 +71,12 @@ class TestBallMembership:
 
     def test_rejects_off_hyperplane(self):
         assert not ball_membership(np.array([0.25, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("s", [np.eye(3), np.ones(1), [1.0, np.nan, 0.0], [np.inf, 0.0]],
+                             ids=["matrix", "length-1", "nan", "inf"])
+    def test_refuses_what_is_no_finite_state_vector(self, s):
+        with pytest.raises(InvalidInputError, match="state must be a finite vector"):
+            ball_membership(s)
 
     def test_radius(self):
         for l in (2, 4, 9):
@@ -319,9 +326,13 @@ class TestEmbedding:
         emb = StateEmbedding(np.int64(d))
         assert type(emb.d) is int and emb.d == d
         assert emb.operator_basis is StateEmbedding.for_dimension(d).operator_basis
-        for bad in (1, 2.0, "2"):
+        # a whole float reads as its int, as every size of the package does
+        assert StateEmbedding(float(d)).d == d and type(StateEmbedding(float(d)).d) is int
+        assert StateEmbedding.for_dimension(float(d)) is StateEmbedding.for_dimension(d)
+        for bad in (1, 2.5, True, float("nan"), "2"):
             for build in (StateEmbedding, StateEmbedding.for_dimension):
-                with pytest.raises(InvalidInputError, match="Hilbert dimension must be an int"):
+                with pytest.raises(InvalidInputError,
+                                   match="Hilbert dimension must be a whole number >= 2"):
                     build(bad)
 
     def test_embeddings_compare_and_hash_by_identity(self):
@@ -356,3 +367,8 @@ class TestHermitianJson:
     def test_rejects_malformed(self):
         with pytest.raises(InvalidInputError):
             hermitian_from_dict({"d": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
+
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "vector"])
+    def test_serializing_refuses_a_matrix_that_is_not_square(self, a):
+        with pytest.raises(InvalidInputError, match="operator must be a square matrix"):
+            hermitian_to_dict(a)

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +158,12 @@ class TestProbabilityCloud:
     def test_rejects_rank_one(self):
         with pytest.raises(DegenerateInputError):
             ProbabilityCloud(np.array([[0.5, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("points", [np.ones(3) / 3, np.ones((2, 1)), np.empty((0, 3))],
+                             ids=["vector", "one-outcome", "no-rows"])
+    def test_rejects_arrays_that_are_no_rows_of_distributions(self, points):
+        with pytest.raises(InvalidInputError, match=r"cloud must be an \(m, n\) array"):
+            ProbabilityCloud(points)
 
     @pytest.mark.parametrize("row", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0],
                                      [np.inf, -np.inf, 1.0]])
@@ -531,6 +540,13 @@ class TestMvee:
         # a nan target is never met and an infinite one is met before any step
         with pytest.raises(InvalidInputError, match="eps"):
             mvee(dirichlet_cloud(12, 4, 1), eps=eps, max_iter=50)
+
+    @pytest.mark.parametrize("eps", [True, np.True_, "1e-9", None, 1e-9 + 0j],
+                             ids=["true", "numpy-true", "string", "none", "complex"])
+    def test_rejects_an_eps_that_is_no_real_number(self, eps):
+        # True would run as 1.0 and return the start weights as converged
+        with pytest.raises(InvalidInputError, match="eps must be a positive, finite real"):
+            mvee(dirichlet_cloud(30, 4, 1), eps=eps)
 
     def test_non_orthonormal_axes_rejected(self):
         e = mvee(ProbabilityCloud(np.eye(3)))
@@ -1089,3 +1105,15 @@ class TestCloudJson:
     def test_rejects_malformed_layout(self, obj):
         with pytest.raises(InvalidInputError, match="^malformed cloud object: "):
             cloud_from_dict(obj)
+
+
+def test_the_readme_library_example_prints_what_it_says():
+    # the README's Python block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    volume, is_design = out.getvalue().splitlines()[:2]
+    assert float(volume) == pytest.approx(0.0625, rel=1e-12)
+    assert is_design == "True"

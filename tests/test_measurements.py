@@ -101,6 +101,11 @@ class TestApply:
         with pytest.raises(InvalidInputError, match="state must have length 3"):
             apply(validate(np.eye(3)), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInputError, match="state entries must be finite"):
+            apply(validate(np.eye(3)), np.array([bad, 0.5, 0.5]))
+
 
 class TestInformationalCompleteness:
     def test_identity_is_complete(self):
@@ -232,7 +237,7 @@ class TestSamplers:
     def test_rank_sampler_rejects_bad_rank(self):
         with pytest.raises(InvalidInputError, match="rank must lie in"):
             random_quasi_measurement(4, 3, 4, seed=0)
-        with pytest.raises(InvalidInputError, match="rank must lie in"):
+        with pytest.raises(InvalidInputError, match="rank must be a whole number >= 1"):
             random_quasi_measurement(4, 3, 0, seed=0)
 
     def test_ic_sampler_rejects_wide_shape(self):
