@@ -14,13 +14,12 @@ averages and design-weight fit that check these facts live in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOL, _array, _read_layout
+from .geometry import DEFAULT_TOL, _array, _read_layout, _real, _shown
 
 #: Default certification threshold on the frame-operator deviation.
 DESIGN_TOL = 1e-9
@@ -49,22 +48,19 @@ class WeightedStateSet:
             raise InvalidInputError("points must form an (m, l) array with m >= 1, l >= 2")
         if weights.shape != (points.shape[0],):
             raise InvalidInputError("weights must match the number of points")
-        # einsum sums do not warn on non-finite entries, so they screen for
-        # them; only a sum that is not finite has isfinite look
+        # einsum sums do not warn when finite entries overflow, and the
+        # tests below fail closed on the NaN that inf - inf gives
         plane = float(np.abs(np.einsum("ij->i", points) - 1.0).max())
         total = float(np.einsum("i->", weights))
-        if not (math.isfinite(plane) and math.isfinite(total)) and not (
-                np.isfinite(points).all() and np.isfinite(weights).all()):
-            raise InvalidInputError("points and weights must be finite")
         low = float(weights.min())
         if low < -1e-12:
             raise InvalidInputError(f"weights must be nonnegative, min is {low}")
         if low < 0.0:
             np.maximum(weights, 0.0, out=weights)
             total = float(np.einsum("i->", weights))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise InvalidInputError(f"weights must sum to 1, got {total}")
-        if plane > DEFAULT_TOL:
+        if not plane <= DEFAULT_TOL:
             raise InvalidInputError(
                 f"every point must lie on the state hyperplane, worst residual {plane}")
         points.setflags(write=False)
@@ -136,6 +132,7 @@ def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignC
     ``is_design`` holds when the point norms are within ``tol`` of 1 and
     the frame operator is within ``tol`` of ``eye(l) / l``.
     """
+    tol = _real(tol, "tol")
     points = states.points
     # the sums of squares norm(points, axis=1) takes, without its wrapper
     norms = np.sqrt((points * points).sum(axis=1))
@@ -144,7 +141,7 @@ def certify_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignC
     return DesignCertificate(
         is_design=max(sphere_deviation, frame_deviation) <= tol,
         frame_deviation=frame_deviation,
-        tol_used=float(tol),
+        tol_used=tol,
         sphere_deviation=sphere_deviation,
     )
 
@@ -156,7 +153,7 @@ def is_two_design(states: WeightedStateSet, tol: float = DESIGN_TOL) -> DesignCe
     sphere by more than ``tol`` raises :class:`InvalidInputError`.
     """
     certificate = certify_design(states, tol)
-    if not certificate.sphere_deviation <= tol:
+    if not certificate.sphere_deviation <= certificate.tol_used:
         raise InvalidInputError(
             f"point lies off the pure-state sphere by {certificate.sphere_deviation}")
     return certificate
@@ -175,5 +172,5 @@ def state_set_from_dict(obj: dict) -> WeightedStateSet:
     """Parse the ``{"l", "points", "weights"}`` layout."""
     l, points, weights = _read_layout(obj, "state-set", ("l",), ("points", "weights"))
     if points.ndim != 2 or points.shape[1] != l:
-        raise InvalidInputError(f"points must be rows of length {l!r:.40}")
+        raise InvalidInputError(f"points must be rows of length {_shown(l)}")
     return WeightedStateSet(points=points, weights=weights)

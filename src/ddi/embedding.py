@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOL, _read_layout, _size, hyperplane_basis
+from .geometry import DEFAULT_TOL, _array, _read_layout, _real, _shown, _size, hyperplane_basis
 
 
 def traceless_hermitian_basis(d: int) -> np.ndarray:
@@ -180,22 +180,18 @@ def _embed_parts(op: np.ndarray, embedding: StateEmbedding, tol: float) -> np.nd
     The first ``l`` entries of the result are ``alpha * T(X)``, the next
     two ``Re tr X`` and ``Im tr X``.  One product with
     :attr:`StateEmbedding.operator_map` gives the map, the trace and the
-    Hermiticity deviation.  Its entries must be finite before it runs,
-    or ``0 * inf`` in the product would warn.  ``vdot`` is the screen
-    because, unlike ``dot`` and ``matmul``, it does not warn when the sum
-    of squares of large finite entries overflows; only then, or with a
-    non-finite entry, does ``isfinite`` have to look.
+    Hermiticity deviation; the reader has refused a non-finite entry,
+    which would make ``0 * inf`` in the product warn.
     """
     d = embedding.d
-    a = np.ascontiguousarray(op, dtype=complex)
+    tol = _real(tol, "tol")
+    # contiguous, so that its real and imaginary parts view as one float vector
+    a = np.ascontiguousarray(_array(op, "operator", complex))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("operator must be a square matrix")
     if a.shape[0] != d:
         raise InvalidInputError(f"operator has dimension {a.shape[0]}, expected {d}")
-    x = a.view(float).ravel()
-    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
-        raise InvalidInputError("operator entries must be finite")
-    y = embedding.operator_map @ x
+    y = embedding.operator_map @ a.view(float).ravel()
     deviation = y[d * d + 2:]
     # Every modulus is within tol when the squares sum to at most
     # (tol/2)^2, so each is taken only when they do not.  Below 1e-150 the
@@ -256,13 +252,13 @@ def embed_effect(effect: np.ndarray, embedding: StateEmbedding,
 def hermitian_from_dict(obj: dict) -> np.ndarray:
     """Parse ``{"d": int, "re": [[...]], "im": [[...]]}`` into a complex matrix.
 
-    Embedding the matrix checks that it is finite and Hermitian.
-    The parts are set directly, since ``1j * inf`` is ``nan + inf j`` and warns.
+    The layout reader refuses a non-finite part; embedding the matrix
+    checks that it is Hermitian.
     """
     d, re, im = _read_layout(obj, "operator", ("d",), ("re", "im"))
     if re.shape != (d, d) or im.shape != (d, d):
-        raise InvalidInputError(
-            f"operator parts must be {d!r:.40} x {d!r:.40} matrices, got {re.shape} and {im.shape}")
+        raise InvalidInputError(f"operator parts must be {_shown(d)} x {_shown(d)} matrices, "
+                                f"got {re.shape} and {im.shape}")
     a = np.empty((d, d), dtype=complex)
     a.real, a.imag = re, im
     return a
@@ -270,7 +266,7 @@ def hermitian_from_dict(obj: dict) -> np.ndarray:
 
 def hermitian_to_dict(a: np.ndarray) -> dict:
     """Serialize a square complex matrix as ``{"d", "re", "im"}``."""
-    a = np.asarray(a, dtype=complex)
+    a = _array(a, "operator", complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError("operator must be a square matrix")
     return {

@@ -14,6 +14,8 @@ in :mod:`ddi.embedding`.
 
 from __future__ import annotations
 
+import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -47,8 +49,8 @@ def pseudoinverse(a: np.ndarray) -> np.ndarray:
     zeroed.  Satisfies the four Penrose identities to rounding accuracy.
     """
     a = _array(a, "matrix")
-    if a.ndim != 2 or a.size == 0 or not np.all(np.isfinite(a)):
-        raise InvalidInputError("pseudoinverse requires a finite 2-d array")
+    if a.ndim != 2 or a.size == 0:
+        raise InvalidInputError("pseudoinverse requires a nonempty 2-d array")
     return np.linalg.pinv(a, rcond=DEFAULT_TOL)
 
 
@@ -75,6 +77,17 @@ def _helmert_basis(l: int) -> np.ndarray:
     return cols
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters for a message.
+
+    An int of more than 128 bits, too long for 40 digits, is shown by its
+    bit length: Python refuses to print one of more than 4300 digits.
+    """
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return f"{value!r:.40}"
+
+
 def _size(value, what: str, minimum: int) -> int:
     """``value`` as an int when it is a whole, finite number >= ``minimum``.
 
@@ -88,23 +101,52 @@ def _size(value, what: str, minimum: int) -> int:
         value = int(value)
     # bool is a subclass of int
     if type(value) is not int or value < minimum:
-        raise InvalidInputError(f"{what} must be a whole number >= {minimum}, got {value!r:.40}")
+        raise InvalidInputError(f"{what} must be a whole number >= {minimum}, got {_shown(value)}")
     return value
 
 
-def _array(value, what: str) -> np.ndarray:
-    """``value`` as a float array, converted only from an integer one.
+def _real(value, what: str, rule: str = "a real number") -> float:
+    """``value`` as a float when it is a real number.
 
-    Ragged input, strings, nulls, bools, complex numbers and integers beyond
-    64 bits raise :class:`InvalidInputError`, whose message starts with ``what``.
+    ``True``, ``"1e-9"``, ``None`` and complex numbers raise
+    :class:`InvalidInputError`, whose message is ``what`` must be
+    ``rule``.  NaN and negative values pass, for the caller's comparisons
+    to refuse; an int beyond the float range reads as an infinity.
+    """
+    # a float, the usual tolerance, passes on one type test
+    if type(value) is float:
+        return value
+    # bool is a subclass of int; a NumPy bool is no numbers.Real
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be {rule}, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _array(value, what: str, dtype: type = float) -> np.ndarray:
+    """``value`` as a finite float array, converted only from an integer one.
+
+    With ``dtype=complex``, as a finite complex array, converted from a
+    real one too.  Ragged input, strings, nulls, bools, integers beyond 64
+    bits, complex numbers for a float array, and NaN or infinite entries
+    raise :class:`InvalidInputError`, whose message starts with ``what``.
     """
     try:
         array = np.asarray(value)
     except ValueError as exc:  # ragged
         raise InvalidInputError(f"{what} must be a rectangular array: {exc}") from exc
-    if array.dtype.kind not in "iuf":
-        raise InvalidInputError(f"{what} must be a real numeric array, got dtype {array.dtype}")
-    return array.astype(float, copy=False)
+    if array.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "numeric" if dtype is complex else "real numeric"
+        raise InvalidInputError(f"{what} must be a {kind} array, got dtype {array.dtype}")
+    array = array.astype(dtype, copy=False)
+    # unlike dot and the ufuncs, vdot does not warn when the sum of squares
+    # overflows or meets a non-finite entry; only then does isfinite look
+    # (abs, as the sum of a complex array is complex)
+    if not math.isfinite(abs(np.vdot(array, array))) and not np.isfinite(array).all():
+        raise InvalidInputError(f"{what} entries must be finite")
+    return array
 
 
 def _read_layout(obj, kind: str, sizes: tuple[str, ...], arrays: tuple[str, ...]) -> list:

@@ -52,7 +52,6 @@ trip) live in :mod:`ddi.verify`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,7 +64,8 @@ from .errors import (
     NoConvergenceError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, _array, _read_layout, _size, ball_radius, hyperplane_basis
+from .geometry import (DEFAULT_TOL, _array, _read_layout, _real, _shown, _size, ball_radius,
+                       hyperplane_basis)
 from .designs import (
     DesignCertificate,
     WeightedStateSet,
@@ -115,14 +115,12 @@ class ProbabilityCloud:
 
     def __init__(self, points, sum_tol: float = DEFAULT_TOL):
         points = _array(points, "cloud")
+        sum_tol = _real(sum_tol, "sum_tol")
         if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] < 2:
             raise InvalidInputError("cloud must be an (m, n) array with m >= 1, n >= 2")
-        # einsum row sums do not warn on non-finite entries, so they screen
-        # for them; only a sum that is not finite has isfinite look
+        # einsum row sums do not warn when finite entries overflow
         residue = 1.0 - np.einsum("ij->i", points)
         worst = float(np.abs(residue).max())
-        if not math.isfinite(worst) and not np.isfinite(points).all():
-            raise InvalidInputError("cloud entries must be finite")
         if not worst <= sum_tol:
             raise InvalidInputError(
                 f"every distribution must sum to 1 within {sum_tol}, worst residual {worst}")
@@ -186,10 +184,8 @@ class Ellipsoid:
         if not 0.0 <= self.optimality_gap < math.inf:
             raise InvalidInputError(
                 f"ellipsoid gap must be finite and >= 0, got {self.optimality_gap}")
-        if not np.isfinite(center).all():
-            raise InvalidInputError("ellipsoid center must be finite")
-        if not (semi_axes.min() > 0.0 and semi_axes.max() < math.inf):
-            raise InvalidInputError("ellipsoid semi-axes must be positive and finite")
+        if not semi_axes.min() > 0.0:
+            raise InvalidInputError("ellipsoid semi-axes must be positive")
         # the inverse root is read off the axes, and the measurement's volume
         # and counter-image through the chart, which needs orthonormal columns
         identity = np.eye(k)
@@ -450,9 +446,10 @@ def mvee(cloud: ProbabilityCloud, eps: float = 1e-9, max_iter: int = 10 ** 6) ->
         A NaN gap builds no ellipsoid, so no partial: the constructor
         refuses it with :class:`InvalidInputError`.
     """
-    # bool is a subclass of int; a NumPy bool is no numbers.Real
-    if isinstance(eps, bool) or not (isinstance(eps, numbers.Real) and 0.0 < eps < math.inf):
-        raise InvalidInputError(f"eps must be a positive, finite real number, got {eps!r:.40}")
+    rule = "a positive, finite real number"
+    eps = _real(eps, "eps", rule)
+    if not 0.0 < eps < math.inf:
+        raise InvalidInputError(f"eps must be {rule}, got {eps}")
     cap = _size(max_iter, "max_iter", 1)
     m, d = len(cloud), cloud.span_dim - 1
     chart, base = cloud.chart, cloud.base
@@ -572,6 +569,7 @@ def assemble_result(ellipsoid: Ellipsoid, cloud: ProbabilityCloud,
     :class:`DegenerateInputError` when a point lies more than
     ``DEFAULT_TOL`` off the hull along a direction the chart dropped.
     """
+    design_tol = _real(design_tol, "design_tol")
     # a partial ellipsoid encloses the cloud only up to its duality gap
     # (worst quadratic is below 1 + 2 * gap), so widen the slack with it
     slack = max(_CONTAINMENT_TOL, 4.0 * ellipsoid.optimality_gap)
@@ -657,5 +655,5 @@ def cloud_from_dict(obj: dict, sum_tol: float = DEFAULT_TOL) -> ProbabilityCloud
     """Parse the ``{"n", "distributions"}`` layout."""
     n, points = _read_layout(obj, "cloud", ("n",), ("distributions",))
     if points.ndim != 2 or points.shape[1] != n:
-        raise InvalidInputError(f"distributions must be rows of length {n!r:.40}")
+        raise InvalidInputError(f"distributions must be rows of length {_shown(n)}")
     return ProbabilityCloud(points, sum_tol=sum_tol)

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateRangeError, InvalidInputError, NotAQuasiMeasurementError
-from .geometry import DEFAULT_TOL, _array, _read_layout
+from .geometry import DEFAULT_TOL, _array, _read_layout, _shown
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,6 @@ class QuasiMeasurement:
         matrix = _array(self.matrix, "measurement")
         if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 2:
             raise InvalidInputError("measurement must be an (n, l) matrix with n >= 1, l >= 2")
-        if not np.isfinite(matrix).all():
-            raise InvalidInputError("measurement entries must be finite")
         matrix = matrix.copy()
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -121,8 +119,6 @@ def apply(meas: QuasiMeasurement, s: np.ndarray) -> np.ndarray:
     s = _array(s, "state")
     if s.shape != (meas.l,):
         raise InvalidInputError(f"state must have length {meas.l}, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("state entries must be finite")
     if abs(float(s.sum()) - 1.0) > DEFAULT_TOL:
         raise InvalidInputError(f"state must sum to 1 within {DEFAULT_TOL}, got {s.sum()}")
     return meas.matrix @ s
@@ -154,5 +150,5 @@ def measurement_from_dict(obj: dict) -> QuasiMeasurement:
     n, l, matrix = _read_layout(obj, "measurement", ("n", "l"), ("matrix",))
     if matrix.shape != (n, l):
         raise InvalidInputError(
-            f"matrix shape {matrix.shape} does not match n={n!r:.40}, l={l!r:.40}")
+            f"matrix shape {matrix.shape} does not match n={_shown(n)}, l={_shown(l)}")
     return validate(matrix)

@@ -26,7 +26,7 @@ from .errors import (
     InvalidInputError,
     NotAQuasiMeasurementError,
 )
-from .geometry import DEFAULT_TOL, _array, _size, ball_radius, hyperplane_basis
+from .geometry import DEFAULT_TOL, _array, _real, _size, ball_radius, hyperplane_basis
 from .designs import (
     DESIGN_TOL,
     DesignCertificate,
@@ -62,9 +62,9 @@ def ball_membership(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     ``|u . s - 1| <= tol`` and ``f(s) <= tol``.
     """
     s = _array(s, "state")
-    if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
+    if s.ndim != 1 or s.size < 2:
         raise InvalidInputError("state must be a finite vector of length >= 2")
-    return _rows_in_ball(s[None], tol)
+    return _rows_in_ball(s[None], _real(tol, "tol"))
 
 
 def _rows_in_ball(rows: np.ndarray, tol: float) -> bool:
@@ -137,7 +137,7 @@ def haar_average_estimate(s: np.ndarray, samples: int,
     """
     s = _array(s, "state")
     samples = _size(samples, "samples", 1)
-    if s.ndim != 1 or s.size < 2 or not np.all(np.isfinite(s)):
+    if s.ndim != 1 or s.size < 2:
         raise InvalidInputError("state must be a finite vector of length >= 2")
     plane = abs(float(s.sum()) - 1.0)
     radial = abs(float(s @ s) - 1.0)
@@ -265,6 +265,7 @@ def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL
     for ``tol < 1`` this is ``M^+ M = eye(l)`` within ``tol`` in spectral
     norm.  A ``tol`` of 1 or more cuts every measurement and refuses it.
     """
+    tol = _real(tol, "tol")
     sv = meas._svd[1]
     return meas.n >= meas.l and bool(sv[-1] > tol * sv[0])
 
@@ -393,6 +394,7 @@ def feasibility_check(meas: QuasiMeasurement, cloud: ProbabilityCloud,
     each distribution is reproduced by ``M M^+`` within ``tol`` and that
     its counter-image lies in the state ball within ``tol``.
     """
+    tol = _real(tol, "tol")
     if not is_informationally_complete(meas):
         raise InvalidInputError("feasibility check requires an informationally complete measurement")
     return _reproduces(meas.matrix, cloud.points @ meas.pinv().T, cloud.points, tol)

@@ -1,13 +1,18 @@
-"""Every public entry point reads a caller's sizes and arrays by one rule.
+"""Every public entry point reads a caller's sizes, arrays and tolerances by one rule.
 
 The rule is the JSON layouts' (``ddi.geometry._size`` and ``_array``): a
 size is a whole, finite number at or above the entry point's minimum, so
 ``3.0`` and ``np.int64(3)`` read as 3 while ``2.5``, NaN, infinity,
-``True`` and ``"3"`` are refused; an array is rectangular, real and
-numeric.  Each refusal is an :class:`InvalidInputError`.
+``True`` and ``"3"`` are refused; an array is rectangular, real, numeric
+and finite, and an operator the same but complex.  A tolerance
+(``ddi.geometry._real``) is a real number other than a bool; NaN and
+negative ones are read as given, and a NaN one passes no check.  Each
+refusal is an :class:`InvalidInputError`, and a refused int too long to
+print is shown by its bit length.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,10 +29,16 @@ from ddi import (
     ball_radius,
     composition_bijection_check,
     cone_functional,
+    ddi_on_ball,
     design_weights,
+    embed_density,
+    embed_effect,
+    feasibility_check,
     haar_average_estimate,
     hyperplane_basis,
     inference_round_trip,
+    is_informationally_complete,
+    is_two_design,
     mvee,
     pseudoinverse,
     random_ic_quasi_measurement,
@@ -38,7 +49,10 @@ from ddi import (
     unit_effect,
     validate,
 )
-from ddi.measurements import apply
+from ddi.designs import certify_design, state_set_from_dict
+from ddi.embedding import hermitian_from_dict, hermitian_to_dict
+from ddi.inference import assemble_result, cloud_from_dict
+from ddi.measurements import apply, measurement_from_dict
 
 _SIMPLEX_ELLIPSOID = mvee(ProbabilityCloud(np.eye(3)))
 
@@ -134,3 +148,120 @@ ARRAYS = {
 def test_an_array_that_is_not_rectangular_real_and_numeric_is_refused(name, array):
     with pytest.raises(InvalidInputError, match="must be a (rectangular|real numeric) array"):
         ARRAYS[name](array)
+
+
+@pytest.mark.parametrize("array", [
+    [1.0, np.nan, 0.0],
+    [np.inf, 0.0, 0.0],
+    [np.inf, -np.inf, 1.0],
+], ids=["nan", "inf", "cancelling-infs"])
+@pytest.mark.parametrize("name", ARRAYS)
+def test_an_array_with_an_entry_that_is_not_finite_is_refused(name, array):
+    with pytest.raises(InvalidInputError, match="entries must be finite"):
+        ARRAYS[name](array)
+
+
+_QUBIT = StateEmbedding.for_dimension(2)
+
+OPERATORS = {
+    "embed_density": lambda a: embed_density(a, _QUBIT).tolist(),
+    "embed_effect": lambda a: embed_effect(a, _QUBIT).tolist(),
+    "hermitian_to_dict": hermitian_to_dict,
+}
+
+
+@pytest.mark.parametrize("operator, message", [
+    ([[0.5, 0.0], [0.0]], "must be a rectangular array"),
+    (np.eye(2, dtype=bool), "must be a numeric array"),
+    ([["0.5", "0"], ["0", "0.5"]], "must be a numeric array"),
+    ([[0.5, np.nan], [0.0, 0.5]], "entries must be finite"),
+    ([[0.5, complex(0.0, np.inf)], [0.0, 0.5]], "entries must be finite"),
+], ids=["ragged", "bool", "strings", "nan", "inf-imaginary"])
+@pytest.mark.parametrize("name", OPERATORS)
+def test_an_operator_that_is_not_rectangular_numeric_and_finite_is_refused(
+        name, operator, message):
+    with pytest.raises(InvalidInputError, match=message):
+        OPERATORS[name](operator)
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_a_complex_operator_is_read_like_a_real_one(name):
+    read = OPERATORS[name]
+    real = [[0.75, 0.25], [0.25, 0.25]]
+    assert read(np.array(real) + 0j) == read(real)
+    hermitian = [[0.75, 0.25 - 0.25j], [0.25 + 0.25j, 0.25]]
+    assert read(np.array(hermitian)) == read(hermitian)
+
+
+_SIMPLEX_CLOUD = ProbabilityCloud(np.eye(3))
+_SIMPLEX_MEASUREMENT = validate(np.eye(3))
+
+# name: a call that reads the tolerance and returns what it decided
+TOLERANCES = {
+    "ProbabilityCloud.sum_tol": lambda t: ProbabilityCloud(np.eye(3), sum_tol=t).points.tolist(),
+    "cloud_from_dict.sum_tol": lambda t: cloud_from_dict(
+        {"n": 3, "distributions": np.eye(3).tolist()}, sum_tol=t).points.tolist(),
+    "certify_design.tol": lambda t: certify_design(regular_simplex(3), t).is_design,
+    "is_two_design.tol": lambda t: is_two_design(regular_simplex(3), tol=t).is_design,
+    "embed_density.tol": lambda t: embed_density(np.eye(2) / 2, _QUBIT, tol=t).tolist(),
+    "embed_effect.tol": lambda t: embed_effect(np.eye(2), _QUBIT, tol=t).tolist(),
+    "ball_membership.tol": lambda t: ball_membership(np.eye(3)[0], tol=t),
+    "is_informationally_complete.tol": lambda t: is_informationally_complete(
+        _SIMPLEX_MEASUREMENT, tol=t),
+    "feasibility_check.tol": lambda t: feasibility_check(
+        _SIMPLEX_MEASUREMENT, _SIMPLEX_CLOUD, tol=t),
+    "assemble_result.design_tol": lambda t: assemble_result(
+        _SIMPLEX_ELLIPSOID, _SIMPLEX_CLOUD, design_tol=t).design_certificate.is_design,
+    "ddi_on_ball.design_tol": lambda t: ddi_on_ball(
+        _SIMPLEX_CLOUD, design_tol=t).design_certificate.is_design,
+    "ddi_on_ball.eps": lambda t: ddi_on_ball(_SIMPLEX_CLOUD, eps=t).volume_sq,
+    "mvee.eps": lambda t: mvee(_SIMPLEX_CLOUD, eps=t).semi_axes.tolist(),
+}
+
+
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_a_real_tolerance_of_any_type_reads_as_its_float(name):
+    read = TOLERANCES[name]
+    expected = read(1e-6)
+    assert read(np.float64(1e-6)) == expected
+    assert read(Fraction(1, 10 ** 6)) == expected
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1e-9", None, 1e-9 + 0j],
+                         ids=["true", "numpy-true", "string", "none", "complex"])
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_a_tolerance_that_is_no_real_number_is_refused(name, value):
+    with pytest.raises(InvalidInputError, match="must be a (positive, finite )?real number"):
+        TOLERANCES[name](value)
+
+
+def test_a_tolerance_beyond_the_float_range_reads_as_infinite():
+    assert ball_membership(np.eye(3)[0], tol=10 ** 400)
+    assert not ball_membership(np.eye(3)[0], tol=-10 ** 400)
+    with pytest.raises(InvalidInputError, match="eps must be a positive, finite real number"):
+        mvee(_SIMPLEX_CLOUD, eps=10 ** 400)
+
+
+_HUGE = 10 ** 5000
+
+HUGE_INTS = {
+    "unit_effect": lambda: unit_effect(-_HUGE),
+    "mvee.max_iter": lambda: mvee(_SIMPLEX_CLOUD, max_iter=-_HUGE),
+    "cloud_from_dict": lambda: cloud_from_dict(
+        {"n": _HUGE, "distributions": [[1.0, 0.0], [0.0, 1.0]]}),
+    "state_set_from_dict": lambda: state_set_from_dict(
+        {"l": _HUGE, "points": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]}),
+    "measurement_from_dict": lambda: measurement_from_dict(
+        {"n": 2, "l": _HUGE, "matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    "hermitian_from_dict": lambda: hermitian_from_dict(
+        {"d": _HUGE, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INTS)
+def test_a_refused_int_too_long_to_print_is_shown_by_its_bit_length(name):
+    with pytest.raises(InvalidInputError) as info:
+        HUGE_INTS[name]()
+    message = str(info.value)
+    assert len(message) < 200
+    assert "int of 16610 bits" in message

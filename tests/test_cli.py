@@ -337,7 +337,7 @@ class TestEmbed:
                              capture_output=True, text=True)
         assert run.returncode == EXIT_INVALID_INPUT
         assert run.stdout == ""
-        assert run.stderr == "error: operator entries must be finite\n"
+        assert run.stderr == "error: malformed operator object: im entries must be finite\n"
 
 
 class TestSimulate:

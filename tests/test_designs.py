@@ -85,6 +85,12 @@ class TestWeightedStateSet:
         with pytest.raises(InvalidInputError, match="hyperplane"):
             WeightedStateSet(points=np.array([[1e308, 1e308, -1e308]]), weights=np.ones(1))
 
+    def test_rejects_a_row_whose_sum_overflows_to_nan(self):
+        # summed in more than one lane this row can give inf + -inf; it sums to 2
+        with pytest.raises(InvalidInputError, match="hyperplane"):
+            WeightedStateSet(points=np.array([[1e308, -1e308, 1e308, -1e308, 2.0]]),
+                             weights=np.ones(1))
+
     def test_clips_weights_just_below_zero(self):
         weights = np.array([0.5, 0.5, -1e-13])
         s = WeightedStateSet(points=np.eye(3), weights=weights)
@@ -285,10 +291,14 @@ class TestHaarAverage:
         with pytest.raises(InvalidInputError, match="requires a pure state on the hyperplane"):
             haar_average_estimate(np.ones(4) / 4, 10)
 
-    @pytest.mark.parametrize("s", [np.eye(3), np.ones(1), [1.0, np.nan, 0.0], [np.inf, 0.0]],
-                             ids=["matrix", "length-1", "nan", "inf"])
-    def test_rejects_what_is_no_finite_state_vector(self, s):
-        with pytest.raises(InvalidInputError, match="state must be a finite vector"):
+    @pytest.mark.parametrize("s, message", [
+        (np.eye(3), "state must be a finite vector"),
+        (np.ones(1), "state must be a finite vector"),
+        ([1.0, np.nan, 0.0], "state entries must be finite"),
+        ([np.inf, 0.0], "state entries must be finite"),
+    ], ids=["matrix", "length-1", "nan", "inf"])
+    def test_rejects_what_is_no_finite_state_vector(self, s, message):
+        with pytest.raises(InvalidInputError, match=message):
             haar_average_estimate(s, 10)
 
     def test_rejects_bad_sample_count(self):

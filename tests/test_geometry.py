@@ -72,10 +72,14 @@ class TestBallMembership:
     def test_rejects_off_hyperplane(self):
         assert not ball_membership(np.array([0.25, 0.25, 0.25]))
 
-    @pytest.mark.parametrize("s", [np.eye(3), np.ones(1), [1.0, np.nan, 0.0], [np.inf, 0.0]],
-                             ids=["matrix", "length-1", "nan", "inf"])
-    def test_refuses_what_is_no_finite_state_vector(self, s):
-        with pytest.raises(InvalidInputError, match="state must be a finite vector"):
+    @pytest.mark.parametrize("s, message", [
+        (np.eye(3), "state must be a finite vector"),
+        (np.ones(1), "state must be a finite vector"),
+        ([1.0, np.nan, 0.0], "state entries must be finite"),
+        ([np.inf, 0.0], "state entries must be finite"),
+    ], ids=["matrix", "length-1", "nan", "inf"])
+    def test_refuses_what_is_no_finite_state_vector(self, s, message):
+        with pytest.raises(InvalidInputError, match=message):
             ball_membership(s)
 
     def test_radius(self):
