@@ -81,11 +81,16 @@ def _shown(value) -> str:
     """``repr(value)`` cut to 40 characters for a message.
 
     An int of more than 128 bits, too long for 40 digits, is shown by its
-    bit length: Python refuses to print one of more than 4300 digits.
+    bit length: Python refuses to print one of more than 4300 digits.  A
+    value whose ``repr`` raises, such as a list holding such an int, is
+    shown by its type.
     """
     if isinstance(value, int) and value.bit_length() > 128:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
-    return f"{value!r:.40}"
+    try:
+        return f"{value!r:.40}"
+    except Exception:
+        return f"a {type(value).__name__} that cannot be printed"
 
 
 def _size(value, what: str, minimum: int) -> int:

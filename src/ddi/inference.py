@@ -156,8 +156,9 @@ class Ellipsoid:
 
     With ``k`` the chart's columns, the center must have shape ``(n,)``,
     the chart ``(n, k)``, the axes ``(k, k)`` and the semi-axes ``(k,)``,
-    all finite, the gap finite and nonnegative and the iterations a whole
-    number >= 0; anything else is an :class:`InvalidInputError`.
+    all finite, the support weights a finite vector, the gap a finite,
+    nonnegative real number and the iterations a whole number >= 0;
+    anything else is an :class:`InvalidInputError`.
     """
 
     center: np.ndarray
@@ -169,10 +170,13 @@ class Ellipsoid:
     iterations: int
 
     def __post_init__(self):
-        for name in ("center", "axes", "semi_axes", "chart"):
+        for name in ("center", "axes", "semi_axes", "chart", "support_weights"):
             object.__setattr__(self, name, _array(getattr(self, name), f"ellipsoid {name}"))
+        object.__setattr__(self, "optimality_gap", _real(self.optimality_gap, "ellipsoid gap"))
         object.__setattr__(self, "iterations", _size(self.iterations, "ellipsoid iterations", 0))
         center, axes, semi_axes, chart = self.center, self.axes, self.semi_axes, self.chart
+        if self.support_weights.ndim != 1:
+            raise InvalidInputError("ellipsoid support_weights must be a vector")
         if chart.ndim != 2 or chart.shape[1] < 1:
             raise InvalidInputError("ellipsoid chart must be an (n, k) array with k >= 1")
         n, k = chart.shape

@@ -9,9 +9,10 @@ clouds of exactly ``l`` points; range membership, the volume bound
 ``det(M^T M) >= 1`` for square measurements enclosing a design, the
 consistency bijection under composition, the generate-infer-compare
 round trip, which checks that every cloud it solves is a simplex and
-draws its perturbed simplices in one stacked pass, and the random
-enclosing samplers.  None of it is on the inference path,
-and ``ddi infer`` never imports it.
+draws its perturbed simplices in one stacked pass, each judged by the
+design certificate at uniform weights, and the random enclosing
+samplers.  None of it is on the inference path, and ``ddi infer`` never
+imports it.
 """
 
 from __future__ import annotations
@@ -161,41 +162,9 @@ def haar_average_estimate(s: np.ndarray, samples: int,
 def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares, ``argmin |a x - b|`` over ``x >= 0``.
 
-    ``a`` may carry leading stack axes, each ``n x m`` slice fit to ``b``
-    on its own.  With no more columns than rows, every fit starts from the
-    unconstrained minimizer of its normal equations, all solved in one
-    stacked call: where that is positive it is the optimum, since the KKT
-    conditions hold with no bound active.  Otherwise, or when the Gram
-    matrix is singular, Lawson and Hanson's active-set loop runs from zero
-    (:func:`_lawson_hanson`).
-    """
-    *lead, n, m = a.shape
-    a = a.reshape(-1, n, m)
-    x = np.zeros((len(a), m))
-    if m <= n:
-        at = a.swapaxes(-1, -2)
-        gram, rhs = at @ a, (at @ b)[..., None]
-        try:
-            x = np.linalg.solve(gram, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            # a singular Gram matrix has no unique minimizer: that fit starts
-            # at zero, the others from their own solves
-            for i in range(len(a)):
-                try:
-                    x[i] = np.linalg.solve(gram[i], rhs[i])[:, 0]
-                except np.linalg.LinAlgError:
-                    pass
-    for i in np.flatnonzero(~(x.min(axis=-1) > 0.0)):
-        x[i] = _lawson_hanson(a[i], b)
-    return x.reshape(*lead, m)
-
-
-def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lawson and Hanson's active-set loop for :func:`_nnls`, from zero.
-
-    Each step adds the free column of largest gradient and takes a
-    least-squares solve over the free columns (*Solving Least Squares
-    Problems*, 1974).
+    Lawson and Hanson's active-set loop from zero: each step adds the free
+    column of largest gradient and takes a least-squares solve over the
+    free columns (*Solving Least Squares Problems*, 1974).
     """
     n, m = a.shape
     x = np.zeros(m)
@@ -209,7 +178,7 @@ def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         passive[j] = True
         while passive.any():
             z = np.zeros(m)
-            z[passive] = np.linalg.lstsq(a[:, passive], b)[0]
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
             if z[passive].min() > 0.0:
                 x = z
                 break
@@ -227,8 +196,9 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     Solves a nonnegative least-squares fit of the frame condition
     ``sum_i w_i s_i s_i^T = eye(l) / l`` over the given unit-norm
     points.  Returns the normalized weights and the spectral-norm frame
-    deviation they achieve.  When no weighting fits, the returned
-    deviation simply stays large.
+    deviation they achieve; a fit that finds no weight at all falls back
+    to uniform weights.  When no weighting fits, the returned deviation
+    simply stays large.
 
     This is a verification tool, not part of the inference path: an
     inference result already carries its certifying weights, the
@@ -237,22 +207,12 @@ def design_weights(points: np.ndarray) -> tuple[np.ndarray, float]:
     points = _array(points, "points")
     if points.ndim != 2 or points.shape[0] < 1:
         raise InvalidInputError("points must form an (m, l) array")
-    weights, deviation = _design_fit(points)
-    return weights, float(deviation)
-
-
-def _design_fit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`design_weights` of each ``(m, l)`` slice of ``(..., m, l)`` points.
-
-    A fit that finds no weight at all falls back to uniform weights.
-    """
-    *lead, m, l = points.shape
-    system = np.einsum("...mi,...mj->...mij", points, points).reshape(*lead, m, l * l)
-    weights = _nnls(system.swapaxes(-1, -2), (np.eye(l) / l).ravel())
-    total = weights.sum(axis=-1, keepdims=True)
-    weights = np.divide(weights, total, out=np.full_like(weights, 1.0 / m),
-                        where=total > 1e-12)
-    return weights, _frame_deviation(_frame(points, weights))
+    m, l = points.shape
+    system = np.einsum("mi,mj->ijm", points, points).reshape(l * l, m)
+    weights = _nnls(system, (np.eye(l) / l).ravel())
+    total = weights.sum()
+    weights = weights / total if total > 1e-12 else np.full(m, 1.0 / m)
+    return weights, float(_frame_deviation(_frame(points, weights)))
 
 
 def is_informationally_complete(meas: QuasiMeasurement, tol: float = DEFAULT_TOL) -> bool:
@@ -560,11 +520,18 @@ def _perturbed_simplices(l: int, count: int, rng: np.random.Generator):
     Moves each standard-basis point along the sphere, all ``count``
     simplices in one stacked draw, and redraws together every simplex with
     a point too near the ball's center, with nearly dependent points, or
-    whose best weighting meets the frame condition within
-    ``_MIN_DESIGN_DEVIATION``, for at most 64 rounds.  Returns the
-    ``(count, l, l)`` points and the ``(count,)`` design deviations.  At
-    ``l = 2`` the pure states are two points, so no perturbation can miss
-    the design and :class:`DegenerateInputError` is raised before any draw.
+    that meets the frame condition at uniform weights within
+    ``_MIN_DESIGN_DEVIATION``, for at most 64 rounds.  Independent unit
+    points form a weighted 2-design only when orthonormal, and then only
+    at uniform weights, so a simplex is judged at those.  One stacked
+    ``eigvalsh`` of the uniform-weight frames less ``eye(l) / l`` serves
+    both tests: its largest ``|eigenvalue|`` is the ``frame_deviation``
+    of :func:`~ddi.designs.certify_design`, bit for bit, and the
+    eigenvalues plus ``1 / l`` are the points' squared singular values
+    over ``l``.  Returns the ``(count, l, l)`` points and the ``(count,)``
+    design deviations.  At ``l = 2`` the pure states are two points, so no
+    perturbation can miss the design and :class:`DegenerateInputError` is
+    raised before any draw.
     """
     if count and l == 2:
         raise DegenerateInputError(
@@ -573,6 +540,7 @@ def _perturbed_simplices(l: int, count: int, rng: np.random.Generator):
     tangent = hyperplane_basis(l)
     radius = ball_radius(l)
     x = (np.eye(l) - np.ones(l) / l) @ tangent
+    uniform = np.full(l, 1.0 / l)
     points = np.empty((count, l, l))
     deviations = np.empty(count)
     done = np.zeros(count, dtype=bool)
@@ -586,11 +554,12 @@ def _perturbed_simplices(l: int, count: int, rng: np.random.Generator):
         moved, norms, slots = moved[kept], norms[kept], pending[kept]
         moved *= radius / norms[..., None]
         candidates = np.ones(l) / l + moved @ tangent.T
-        sv = np.linalg.svd(candidates, compute_uv=False)
-        kept = sv[:, -1] > 1e-6 * sv[:, 0]
-        candidates, slots = candidates[kept], slots[kept]
-        _, deviation = _design_fit(candidates)
-        kept = deviation >= _MIN_DESIGN_DEVIATION
+        # the eigenvalues _frame_deviation takes for certify_design, ascending
+        excess = np.linalg.eigvalsh(_frame(candidates, uniform) - np.eye(l) / l)
+        deviation = np.abs(excess).max(axis=-1)
+        # sv_min > 1e-6 sv_max of the points, squared
+        independent = excess[:, 0] + 1.0 / l > 1e-12 * (excess[:, -1] + 1.0 / l)
+        kept = independent & (deviation >= _MIN_DESIGN_DEVIATION)
         slots = slots[kept]
         points[slots] = candidates[kept]
         deviations[slots] = deviation[kept]
@@ -607,7 +576,10 @@ class RoundTripReport:
 
     ``closed_form_gap`` is ``max |O^T O - I|`` for the least-squares ``O``
     with ``M O = M_r``: rounding-level exactly when the recovered ``M_r``
-    is the input ``M`` up to the gauge, as the closed form claims.
+    is the input ``M`` up to the gauge, as the closed form claims.  Each
+    ``perturbed_deviation`` is the ``frame_deviation`` of
+    :func:`~ddi.designs.certify_design` for that perturbed simplex at
+    uniform weights, the only weights that could certify it.
     """
 
     expected_volume_sq: float
@@ -642,12 +614,13 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
     singular values of the measurement's ``l x l`` factor, no other.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
-    the sphere into sets that fail design certification by at least
-    1e-3, all drawn in one stacked pass; for each the report stores that
-    deviation and the relative excess of the input measurement's volume
-    over the new minimum.  A positive excess means consistency through a
-    non-design counter-image costs volume.  Only the volumes of those
-    solves are read, so their design certificates are never computed.
+    the sphere into sets whose design certificate at uniform weights
+    fails by a frame deviation of at least 1e-3, all drawn in one stacked
+    pass; for each the report stores that deviation and the relative
+    excess of the input measurement's volume over the new minimum.  A
+    positive excess means consistency through a non-design counter-image
+    costs volume.  Only the volumes of those solves are read, so the
+    certificates of their results are never computed.
     ``perturbations`` must be a whole number >= 0 (``2.0`` reads as 2;
     ``True``, ``2.5`` and ``-1`` raise :class:`InvalidInputError`).  At
     ``l = 2`` the pure states are two points and no kick can miss the

@@ -127,7 +127,7 @@ ARRAYS = {
     "WeightedStateSet.weights": lambda a: WeightedStateSet(points=np.eye(3), weights=a),
     **{f"Ellipsoid.{field}": (
         lambda a, field=field: dataclasses.replace(_SIMPLEX_ELLIPSOID, **{field: a}))
-       for field in ("center", "axes", "semi_axes", "chart")},
+       for field in ("center", "axes", "semi_axes", "chart", "support_weights")},
     "pseudoinverse": pseudoinverse,
     "apply": lambda a: apply(validate(np.eye(3)), a),
     "ball_membership": ball_membership,
@@ -159,6 +159,15 @@ def test_an_array_that_is_not_rectangular_real_and_numeric_is_refused(name, arra
 def test_an_array_with_an_entry_that_is_not_finite_is_refused(name, array):
     with pytest.raises(InvalidInputError, match="entries must be finite"):
         ARRAYS[name](array)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("x", "must be a real numeric array"),
+    (np.full((3, 1), 1 / 3), "ellipsoid support_weights must be a vector"),
+], ids=["string", "matrix"])
+def test_ellipsoid_support_weights_that_are_no_vector_are_refused(weights, message):
+    with pytest.raises(InvalidInputError, match=message):
+        dataclasses.replace(_SIMPLEX_ELLIPSOID, support_weights=weights)
 
 
 _QUBIT = StateEmbedding.for_dimension(2)
@@ -196,7 +205,8 @@ def test_a_complex_operator_is_read_like_a_real_one(name):
 _SIMPLEX_CLOUD = ProbabilityCloud(np.eye(3))
 _SIMPLEX_MEASUREMENT = validate(np.eye(3))
 
-# name: a call that reads the tolerance and returns what it decided
+# name: a call that reads the tolerance, or another real number, and
+# returns what it decided
 TOLERANCES = {
     "ProbabilityCloud.sum_tol": lambda t: ProbabilityCloud(np.eye(3), sum_tol=t).points.tolist(),
     "cloud_from_dict.sum_tol": lambda t: cloud_from_dict(
@@ -216,6 +226,8 @@ TOLERANCES = {
         _SIMPLEX_CLOUD, design_tol=t).design_certificate.is_design,
     "ddi_on_ball.eps": lambda t: ddi_on_ball(_SIMPLEX_CLOUD, eps=t).volume_sq,
     "mvee.eps": lambda t: mvee(_SIMPLEX_CLOUD, eps=t).semi_axes.tolist(),
+    "Ellipsoid.optimality_gap": lambda t: dataclasses.replace(
+        _SIMPLEX_ELLIPSOID, optimality_gap=t).optimality_gap,
 }
 
 
@@ -265,3 +277,16 @@ def test_a_refused_int_too_long_to_print_is_shown_by_its_bit_length(name):
     message = str(info.value)
     assert len(message) < 200
     assert "int of 16610 bits" in message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mvee(_SIMPLEX_CLOUD, max_iter=[_HUGE]),
+    lambda: mvee(_SIMPLEX_CLOUD, eps=[_HUGE]),
+], ids=["mvee.max_iter", "mvee.eps"])
+def test_a_refused_value_whose_repr_raises_is_shown_by_its_type(call):
+    # Python refuses to print the list's int, so its repr raises
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    message = str(info.value)
+    assert len(message) < 200
+    assert message.endswith("got a list that cannot be printed")

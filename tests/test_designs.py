@@ -322,40 +322,6 @@ class TestDesignWeights:
         _, dev = design_weights(np.eye(3)[:2])
         assert dev > 1e-3
 
-    def test_stacked_fit_is_each_fit_alone(self):
-        # a repeated point makes the middle Gram matrix singular, so the
-        # stacked solve fails; every slice is still fit as it is alone
-        stack, _ = verify._perturbed_simplices(4, 3, np.random.default_rng(12))
-        stack[1, 3] = stack[1, 0]
-        weights, deviations = verify._design_fit(stack)
-        for points, w, deviation in zip(stack, weights, deviations):
-            alone = design_weights(points)
-            np.testing.assert_array_equal(w, alone[0])
-            assert deviation == alone[1]
-        assert deviations[1] > 1e-3 and max(deviations[[0, 2]]) < 1.0
-
-    def test_each_perturbed_simplex_fit_is_one_solve(self, monkeypatch):
-        # kicked simplices keep positive unconstrained fits, so one stacked
-        # solve fits every simplex of a draw and no active-set step follows
-        counts = count_linalg_calls(monkeypatch, "solve", "lstsq")
-        fits = []
-        fit = verify._design_fit
-
-        def counted_fit(points):
-            before = dict(counts)
-            result = fit(points)
-            fits.append((len(points), counts["solve"] - before["solve"],
-                         counts["lstsq"] - before["lstsq"]))
-            return result
-
-        monkeypatch.setattr(verify, "_design_fit", counted_fit)
-        rng = np.random.default_rng(23)
-        for draw in range(100):
-            count = int(rng.integers(1, 6))
-            del fits[:]
-            verify._perturbed_simplices(int(rng.integers(3, 10)), count, rng)
-            assert fits == [(count, 1, 0)]
-
 
 class TestPerturbedSimplices:
     @staticmethod
@@ -368,9 +334,16 @@ class TestPerturbedSimplices:
             fresh.standard_normal((l, l - 1))
         raise AssertionError("stream position not found")
 
+    @staticmethod
+    def uniform_deviation(points):
+        """The certificate's frame deviation of ``points`` at uniform weights."""
+        l = len(points)
+        return certify_design(WeightedStateSet(points, np.full(l, 1.0 / l))).frame_deviation
+
     def test_stacked_draw_is_the_sequential_draw(self):
         # with nothing redrawn the stacked normals are k sequential draws, and
-        # each returned deviation is design_weights' on its simplex, bit for bit
+        # each returned deviation is the certificate's at uniform weights, bit
+        # for bit
         for l in range(3, 13):
             for seed in range(12):
                 count = 1 + seed % 5
@@ -382,47 +355,62 @@ class TestPerturbedSimplices:
                 for i in range(count):
                     alone, deviation = verify._perturbed_simplices(l, 1, single)
                     np.testing.assert_array_equal(points[i], alone[0])
-                    assert deviations[i] == deviation[0] == design_weights(points[i])[1]
+                    assert deviations[i] == deviation[0] == self.uniform_deviation(points[i])
                     assert deviations[i] >= 1e-3
                 np.testing.assert_allclose(np.linalg.norm(points, axis=-1), 1.0, atol=1e-12)
                 np.testing.assert_allclose(points.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_each_draw_is_one_eigvalsh(self, monkeypatch):
+        # the design and rank tests of a round both read one stacked eigvalsh
+        # of the uniform-weight frames, and kicked simplices pass both at the
+        # first round; no SVD, solve or least-squares fit is taken
+        counts = count_linalg_calls(monkeypatch, "eigvalsh", "svd", "solve", "lstsq")
+        rng = np.random.default_rng(23)
+        for draw in range(100):
+            counts.update(dict.fromkeys(counts, 0))
+            verify._perturbed_simplices(int(rng.integers(3, 10)), int(rng.integers(1, 6)), rng)
+            assert counts == {"eigvalsh": 1, "svd": 0, "solve": 0, "lstsq": 0}
+
     def test_a_failed_simplex_is_redrawn_alone(self, monkeypatch):
         # the middle simplex of the first draw is made to meet the frame
         # condition: only it is drawn again, from the next normals
-        fit = verify._design_fit
+        eigvalsh = np.linalg.eigvalsh
         seen = []
 
-        def fit_once_failing(points):
-            weights, deviation = fit(points)
-            seen.append(points.copy())
+        def first_middle_is_a_design(a, *args, **kwargs):
+            excess = eigvalsh(a, *args, **kwargs)
+            seen.append(len(a))
             if len(seen) == 1:
-                deviation[1] = 0.0
-            return weights, deviation
+                excess[1] = 0.0
+            return excess
 
-        monkeypatch.setattr(verify, "_design_fit", fit_once_failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", first_middle_is_a_design)
         rng = np.random.default_rng(4)
         points, deviations = verify._perturbed_simplices(5, 3, rng)
-        assert [len(p) for p in seen] == [3, 1]
-        np.testing.assert_array_equal(points[[0, 2]], seen[0][[0, 2]])
-        np.testing.assert_array_equal(points[1], seen[1][0])
+        monkeypatch.undo()
+        assert seen == [3, 1]
         assert self.draws_taken(rng, 4, 5) == 4
-        assert all(d == design_weights(p)[1] for p, d in zip(points, deviations))
+        again = np.random.default_rng(4)
+        first, _ = verify._perturbed_simplices(5, 3, again)
+        redrawn, _ = verify._perturbed_simplices(5, 1, again)
+        np.testing.assert_array_equal(points[[0, 2]], first[[0, 2]])
+        np.testing.assert_array_equal(points[1], redrawn[0])
+        assert all(d == self.uniform_deviation(p) for p, d in zip(points, deviations))
 
     def test_a_draw_failing_the_rank_test_is_drawn_again(self, monkeypatch):
-        # the first draw's rank test fails for every simplex, so the fit sees
-        # an empty stack and the whole stack is drawn again
-        svd = np.linalg.svd
+        # the first draw's rank test fails for every simplex, so nothing is
+        # kept and the whole stack is drawn again
+        eigvalsh = np.linalg.eigvalsh
         calls = []
 
         def first_draw_deficient(a, *args, **kwargs):
-            sv = svd(a, *args, **kwargs)
+            excess = eigvalsh(a, *args, **kwargs)
             calls.append(len(a))
             if len(calls) == 1:
-                sv[..., -1] = 0.0
-            return sv
+                excess[..., 0] = -1.0 / a.shape[-1]
+            return excess
 
-        monkeypatch.setattr(np.linalg, "svd", first_draw_deficient)
+        monkeypatch.setattr(np.linalg, "eigvalsh", first_draw_deficient)
         rng = np.random.default_rng(7)
         points, deviations = verify._perturbed_simplices(4, 2, rng)
         monkeypatch.undo()
@@ -431,16 +419,16 @@ class TestPerturbedSimplices:
         again.standard_normal((2, 4, 3))
         expected, _ = verify._perturbed_simplices(4, 2, again)
         np.testing.assert_array_equal(points, expected)
-        assert all(d == design_weights(p)[1] for p, d in zip(points, deviations))
+        assert all(d == self.uniform_deviation(p) for p, d in zip(points, deviations))
 
     def test_an_always_failing_draw_stops_after_64_rounds(self, monkeypatch):
         sizes = []
 
-        def never_fits(points):
-            sizes.append(len(points))
-            return np.zeros(points.shape[:-1]), np.zeros(len(points))
+        def always_a_design(a, *args, **kwargs):
+            sizes.append(len(a))
+            return np.zeros(a.shape[:-1])
 
-        monkeypatch.setattr(verify, "_design_fit", never_fits)
+        monkeypatch.setattr(np.linalg, "eigvalsh", always_a_design)
         rng = np.random.default_rng(5)
         with pytest.raises(DegenerateInputError, match="could not draw a perturbed simplex"):
             verify._perturbed_simplices(4, 2, rng)

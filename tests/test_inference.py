@@ -1074,13 +1074,13 @@ class TestRoundTrip:
     def test_linalg_work_of_one_simulate_trial(self, monkeypatch):
         # one SVD for the input measurement, read by the sampler's rank test,
         # the expected volume and the gauge fit; two per solve (the chart, whose
-        # SVD gives the root, and K); one stacked rank test for the perturbed
-        # simplices; one eigvalsh for their stacked frames and one for the
-        # certificate of the unperturbed solve
+        # SVD gives the root, and K); one eigvalsh for the perturbed simplices'
+        # stacked frames, which gives both their rank and design tests, and one
+        # for the certificate of the unperturbed solve
         counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq", "eigvalsh")
         meas = random_ic_quasi_measurement(12, 9, 1)
         inference_round_trip(meas, perturbations=3, seed=1)
-        assert counts == {"svd": 10, "pinv": 0, "lstsq": 0, "eigvalsh": 2}
+        assert counts == {"svd": 9, "pinv": 0, "lstsq": 0, "eigvalsh": 2}
 
 
 class TestCloudJson:
