@@ -30,7 +30,7 @@ from .designs import is_two_design, state_set_from_dict
 from .inference import assemble_result, cloud_from_dict, ddi_on_ball
 from .measurements import QuasiMeasurement, validate
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -237,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.set_defaults(func=cmd_infer)
 
     p_verify = sub.add_parser("verify-design", help="certify a weighted state set as a 2-design")
-    p_verify.add_argument("input", help="state-set JSON: {l, points, weights}")
+    p_verify.add_argument(
+        "input", help="state-set JSON: {l, points, weights}, such as the counter_image "
+                      "object of an infer result")
     add_flags(p_verify, "--tol")
     p_verify.set_defaults(func=cmd_verify_design)
 

@@ -42,8 +42,12 @@ the frame condition sum_j u_j s_j s_j^T = I/l, and its support lies on
 the pure-state sphere, so it is a weighted 2-design.  Every result
 therefore carries the counter-image with those weights; its design
 certificate, from :func:`ddi.designs.certify_design`, is computed on
-first read.  :func:`mvee` answers a simplex, a cloud of exactly ``l``
-points, itself, from its chart's SVD; :func:`ddi.verify.ddi_closed_form`
+first read and covers every row.  :meth:`DdiResult.to_dict` writes only
+the support, the rows with weight > 0 in cloud order: a dropped row
+certifies nothing and is ``pinv(M) p`` of its cloud row ``p``, and a
+written point ``s`` maps back onto its cloud row as ``M s``.
+:func:`mvee` answers a simplex, a cloud of exactly ``l`` points, itself,
+from its chart's SVD; :func:`ddi.verify.ddi_closed_form`
 is the ungauged closed form that tests compare it with.  The checks of
 the theory behind the map (volume bound, consistency bijection, round
 trip) live in :mod:`ddi.verify`.
@@ -507,10 +511,25 @@ class DdiResult:
         return certify_design(self.counter_image, self.design_tol)
 
     def to_dict(self) -> dict:
+        """Serialize the result, with the counter-image cut to its support.
+
+        ``counter_image`` holds the rows with weight > 0, in cloud order,
+        in the ``{"l", "points", "weights"}`` layout.  A support point lies
+        within about half the gap of the sphere, so at the default ``eps``
+        the object passes :func:`~ddi.designs.is_two_design` as written on
+        every converged result.  A dropped row has weight 0 and is
+        ``pinv(M) p`` of its cloud row ``p``, so a reader regenerates it
+        from the matrix, and matches a written point ``s`` to its cloud
+        row as ``M s``.
+        ``design_certificate`` still covers every row, written or not.
+        """
+        counter = self.counter_image
+        support = counter.weights > 0.0
         return {
             "measurement": measurement_to_dict(self.measurement),
             "volume_sq": float(self.volume_sq),
-            "counter_image": state_set_to_dict(self.counter_image),
+            "counter_image": state_set_to_dict(WeightedStateSet(
+                points=counter.points[support], weights=counter.weights[support])),
             "design_certificate": self.design_certificate.to_dict(),
             "gauge_note": self.gauge_note,
             "optimality_gap": float(self.optimality_gap),

@@ -65,7 +65,7 @@ class TestInfer:
         assert main(["infer", inp, "--output", str(out)]) == EXIT_OK
         result = json.loads(out.read_text())
         assert result["version"]
-        assert result["format_version"] == 1
+        assert result["format_version"] == 2
         assert result["volume_sq"] == pytest.approx(1.0, abs=1e-12)
         assert result["design_certificate"]["is_design"] is True
         matrix = np.asarray(result["measurement"]["matrix"])
@@ -122,29 +122,24 @@ class TestInfer:
         assert main(["verify-design", counter, "--tol", "1e-7"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["is_design"] is True
 
-    def test_support_of_a_loose_counter_image_verifies_and_the_whole_does_not(
-            self, tmp_path, capsys):
+    def test_written_support_of_a_loose_optimum_verifies_as_design(self, tmp_path, capsys):
         # a 12-point cloud in 4 outcomes: 8 support rows on the sphere, 4
-        # zero-weight rows inside the ball
+        # zero-weight rows inside the ball that the result does not write
         points = np.random.default_rng(3).dirichlet(np.ones(4), 12)
         inp = write_json(tmp_path / "cloud.json", {"n": 4, "distributions": points.tolist()})
         out = tmp_path / "result.json"
         assert main(["infer", inp, "--output", str(out)]) == EXIT_OK
-        counter = json.loads(out.read_text())["counter_image"]
-        keep = [i for i, w in enumerate(counter["weights"]) if w > 0.0]
-        assert len(keep) == 8
-        whole = write_json(tmp_path / "whole.json", counter)
-        assert main(["verify-design", whole]) == EXIT_INVALID_INPUT
-        assert "off the pure-state sphere" in capsys.readouterr().err
-        support = write_json(tmp_path / "support.json", {
-            "l": counter["l"],
-            "points": [counter["points"][i] for i in keep],
-            "weights": [counter["weights"][i] for i in keep],
-        })
+        result = json.loads(out.read_text())
+        counter = result["counter_image"]
+        assert len(counter["points"]) == len(counter["weights"]) == 8
+        assert min(counter["weights"]) > 0.0
+        support = write_json(tmp_path / "support.json", counter)
         assert main(["verify-design", support]) == EXIT_OK
         certificate = json.loads(capsys.readouterr().out)
         assert certificate["is_design"] is True
         assert certificate["sphere_deviation"] <= 1e-9
+        # the result's own certificate still covers the rows off the sphere
+        assert result["design_certificate"]["is_design"] is False
 
     def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, capsys):
         inp = hard_cloud(tmp_path)

@@ -19,7 +19,12 @@ and compared with the SVD of their support.  The volume and
 counter-image that the inference map reads off the ellipsoid's root
 are compared with SVD oracles on
 Dirichlet clouds and on pure qutrit states seen through a random
-measurement.  The numpy NNLS behind ``design_weights`` is compared
+measurement.  The counter-image a result writes is its support, bit for
+bit and in cloud order, on Dirichlet clouds with n in 3..9 and m in
+n + 1..199, converged or stopped after 3 iterations; the matrix maps it
+back onto its cloud rows, ``pinv(M) p`` regenerates every row, and
+every other key is the full-counter-image layout's.
+The numpy NNLS behind ``design_weights`` is compared
 with SciPy's on unit point sets, where the frame condition may have too
 few points to hold, more points than it has entries, or a weight that
 must be held at 0.  The quantum embedding's cached map is compared with an
@@ -35,6 +40,7 @@ are derandomized and no example database is
 kept, so runs are repeatable and leave no files in the working tree.
 """
 
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,7 +76,9 @@ from ddi import (
     validate,
 )
 from ddi import inference
+from ddi.designs import state_set_from_dict, state_set_to_dict
 from ddi.inference import assemble_result
+from ddi.measurements import measurement_to_dict
 
 from ddi.verify import _nnls, _perturbed_simplices, design_weights
 from helpers import (
@@ -377,6 +385,56 @@ def test_assembly_from_the_root_matches_the_svd_oracles(points):
     assert result.volume_sq == pytest.approx(range_volume_sq(meas), rel=1e-12)
     np.testing.assert_allclose(result.counter_image.points,
                                points @ pseudoinverse(meas.matrix).T, rtol=0.0, atol=1e-12)
+
+
+
+@st.composite
+def written_clouds(draw):
+    n = draw(st.integers(3, 9))
+    m = draw(st.integers(n + 1, 199))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).dirichlet(np.ones(n), m)
+
+
+def full_counter_image_layout(result):
+    """What ``DdiResult.to_dict`` wrote before it cut the counter-image to its support."""
+    return {
+        "measurement": measurement_to_dict(result.measurement),
+        "volume_sq": float(result.volume_sq),
+        "counter_image": state_set_to_dict(result.counter_image),
+        "design_certificate": result.design_certificate.to_dict(),
+        "gauge_note": result.gauge_note,
+        "optimality_gap": float(result.optimality_gap),
+        "iterations": int(result.iterations),
+    }
+
+
+@PROPERTY
+@given(points=written_clouds(), cap=st.sampled_from((3, 10 ** 6)))
+def test_written_support_regenerates_the_whole_counter_image(points, cap):
+    cloud = ProbabilityCloud(points)
+    try:
+        result = ddi_on_ball(cloud, max_iter=cap)
+    except NoConvergenceError as exc:
+        result = assemble_result(exc.partial, cloud)
+    written = json.loads(json.dumps(result.to_dict()))
+    counter = result.counter_image
+    support = counter.weights > 0.0
+    obj = written["counter_image"]
+    states = state_set_from_dict(obj)
+    # the support rows, bit for bit and in cloud order
+    np.testing.assert_array_equal(states.points, counter.points[support])
+    np.testing.assert_array_equal(states.weights, counter.weights[support])
+    # a reader maps the support onto its cloud rows and regenerates the rest
+    matrix = np.array(written["measurement"]["matrix"])
+    np.testing.assert_allclose(states.points @ matrix.T, points[support], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(points @ np.linalg.pinv(matrix).T, counter.points,
+                               rtol=0.0, atol=1e-12)
+    full = json.loads(json.dumps(full_counter_image_layout(result)))
+    assert written.keys() == full.keys()
+    assert obj["l"] == full["counter_image"]["l"]
+    del written["counter_image"], full["counter_image"]
+    assert written == full
 
 
 def test_center_off_the_hyperplane_is_rejected():
