@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 1 not certified (verify-design), 2 solver did not
 converge (infer only, which still writes the partial result; simulate
-solves only simplices, which take no iterations), 3 invalid input, a
-usage error or an unwritable output path.  Output files are written to a
-temporary sibling and atomically renamed, so a complete prior result is
-never clobbered by a partial one.  Messages go to stderr as lines
-``LEVEL ddi: message``; the DDI_LOG environment variable names the
-lowest level shown (debug, info, warning, error; warning by default and
-for any other value).  ``ddi infer`` loads only the inference path: the
-quantum embedding and the verification harness are imported by the
-commands that use them.
+solves only simplices, at gap 0 in 0 iterations, so its CSV has no solver
+columns), 3 invalid input, a usage error or an unwritable output path.
+Output files are written to a temporary sibling and atomically renamed,
+so a complete prior result is never clobbered by a partial one.
+Messages go to stderr as lines ``LEVEL ddi: message``; the DDI_LOG
+environment variable names the lowest level shown (debug, info, warning,
+error; warning by default and for any other value).  ``ddi infer`` loads
+only the inference path: the quantum embedding and the verification
+harness are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -180,14 +180,14 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise InvalidInputError(f"trials must be positive, got {args.trials}")
     header = ["trial", "seed", "expected_volume_sq", "recovered_volume_sq",
-              "relative_gap", "design_deviation", "iterations"]
+              "relative_gap", "design_deviation"]
     rows = []
     for trial in range(args.trials):
         trial_seed = args.seed + trial if args.seed >= 0 else args.seed
         report = inference_round_trip(_trial_measurement(args.n, args.l, trial_seed))
         rows.append([trial, trial_seed, report.expected_volume_sq,
                      report.recovered_volume_sq, report.relative_gap,
-                     report.design_certificate.frame_deviation, report.iterations])
+                     report.design_certificate.frame_deviation])
     columns = list(zip(*rows))
     rows.append(["max", "", "", "", *map(max, columns[4:])])
     _write_text(args.output, _csv_text(header, rows))

@@ -579,7 +579,8 @@ class RoundTripReport:
     is the input ``M`` up to the gauge, as the closed form claims.  Each
     ``perturbed_deviation`` is the ``frame_deviation`` of
     :func:`~ddi.designs.certify_design` for that perturbed simplex at
-    uniform weights, the only weights that could certify it.
+    uniform weights, the only weights that could certify it.  No solver
+    field is kept: each cloud is a simplex, solved at gap 0 in 0 iterations.
     """
 
     expected_volume_sq: float
@@ -588,10 +589,8 @@ class RoundTripReport:
     design_certificate: DesignCertificate
     closed_form_gap: float
     feasible: bool
-    optimality_gap: float
-    iterations: int
-    perturbed_excess: tuple[float, ...] = ()
-    perturbed_deviation: tuple[float, ...] = ()
+    perturbed_excess: tuple[float, ...]
+    perturbed_deviation: tuple[float, ...]
 
 
 def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
@@ -611,7 +610,8 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
     :class:`InvalidInputError` is raised.  Each cloud is then a simplex,
     which :func:`mvee` answers in closed form, at gap 0 and without
     iterating, from its chart's SVD: a solve takes that SVD and the
-    singular values of the measurement's ``l x l`` factor, no other.
+    singular values of the measurement's ``l x l`` factor, no other, so
+    the report has no solver fields.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets whose design certificate at uniform weights
@@ -657,8 +657,6 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
         design_certificate=result.design_certificate,
         closed_form_gap=float(closed_form_gap),
         feasible=feasible,
-        optimality_gap=result.optimality_gap,
-        iterations=result.iterations,
         perturbed_excess=tuple(expected / ddi_on_ball(c).volume_sq - 1.0
                                for c in perturbed_clouds),
         perturbed_deviation=tuple(map(float, deviations)),

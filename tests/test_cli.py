@@ -141,6 +141,16 @@ class TestInfer:
         # the result's own certificate still covers the rows off the sphere
         assert result["design_certificate"]["is_design"] is False
 
+    def test_loose_gap_target_is_met_in_no_more_iterations(self, tmp_path):
+        points = np.random.default_rng(3).dirichlet(np.ones(4), 12)
+        inp = write_json(tmp_path / "cloud.json", {"n": 4, "distributions": points.tolist()})
+        loose, tight = tmp_path / "loose.json", tmp_path / "tight.json"
+        assert main(["infer", inp, "--eps", "1e-3", "--output", str(loose)]) == EXIT_OK
+        assert main(["infer", inp, "--output", str(tight)]) == EXIT_OK
+        loose, tight = json.loads(loose.read_text()), json.loads(tight.read_text())
+        assert loose["optimality_gap"] <= 1e-3
+        assert loose["iterations"] <= tight["iterations"]
+
     def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, capsys):
         inp = hard_cloud(tmp_path)
         quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
@@ -345,7 +355,7 @@ class TestSimulate:
         header = lines[0].split(",")
         assert header == ["trial", "seed", "expected_volume_sq",
                           "recovered_volume_sq", "relative_gap",
-                          "design_deviation", "iterations"]
+                          "design_deviation"]
         assert lines[-1].startswith("max,")
         for line in lines[1:4]:
             cells = line.split(",")

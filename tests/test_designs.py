@@ -129,6 +129,7 @@ class TestFrameOperator:
         pts += (1.0 - pts.sum(axis=1))[:, None] / l
         w = rng.dirichlet(np.ones(7))
         s = WeightedStateSet(points=pts, weights=w)
+        assert len(s) == 7 and s.l == l
         trace = float(np.trace(frame_operator(s)))
         assert trace == pytest.approx(float(w @ np.sum(pts * pts, axis=1)), abs=1e-12)
 
@@ -256,7 +257,8 @@ class TestRotateSet:
         # a shear along a direction orthogonal to u fixes u, so only the
         # orthogonality test can refuse it
         (np.eye(3) + 0.5 * np.outer([1.0, -1.0, 0.0], [0.0, 1.0, -1.0]), "must be orthogonal"),
-    ], ids=["scaled", "shear-fixing-ones"])
+        (np.eye(4), r"rotation must be 3 x 3, got \(4, 4\)"),
+    ], ids=["scaled", "shear-fixing-ones", "another-size"])
     def test_rejects_non_orthogonal(self, rotation, message):
         with pytest.raises(InvalidInputError, match=message):
             rotate_set(regular_simplex(3), rotation)
@@ -321,6 +323,12 @@ class TestDesignWeights:
     def test_reports_failure_as_large_deviation(self):
         _, dev = design_weights(np.eye(3)[:2])
         assert dev > 1e-3
+
+    @pytest.mark.parametrize("points", [np.ones(3) / 3, np.empty((0, 3))],
+                             ids=["vector", "no-rows"])
+    def test_rejects_points_that_are_no_rows_of_states(self, points):
+        with pytest.raises(InvalidInputError, match=r"points must form an \(m, l\) array"):
+            design_weights(points)
 
 
 class TestPerturbedSimplices:

@@ -114,6 +114,12 @@ class TestPseudoinverse:
         with pytest.raises(InvalidInputError):
             pseudoinverse(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("a", [np.ones(3), np.empty((0, 3)), np.empty((3, 0))],
+                             ids=["vector", "no-rows", "no-columns"])
+    def test_rejects_what_is_no_nonempty_matrix(self, a):
+        with pytest.raises(InvalidInputError, match="requires a nonempty 2-d array"):
+            pseudoinverse(a)
+
 
 class TestBases:
     @pytest.mark.parametrize("l", [2, 3, 5, 9, 16])

@@ -30,6 +30,7 @@ from ddi import (
     is_two_design,
     mvee,
     random_ic_quasi_measurement,
+    random_quasi_measurement,
     random_stabilizing_orthogonal,
     range_volume_sq,
     regular_simplex,
@@ -915,6 +916,11 @@ class TestVolumeBound:
         with pytest.raises(InvalidInputError):
             design_volume_bound_check(meas, regular_simplex(3))
 
+    def test_rejects_singular(self):
+        meas = random_quasi_measurement(3, 3, 2, seed=1)
+        with pytest.raises(InvalidInputError, match="measurement must be invertible"):
+            design_volume_bound_check(meas, regular_simplex(3))
+
 
 class TestCompositionBijection:
     def test_passes_for_enclosing_measurement(self):
@@ -932,6 +938,44 @@ class TestCompositionBijection:
         cloud = ProbabilityCloud(base @ other.matrix.T)
         with pytest.raises(InvalidInputError):
             composition_bijection_check(m0, cloud, samples=5)
+
+    @pytest.mark.parametrize("rank, base, message", [
+        (2, np.eye(3), "requires an informationally complete measurement"),
+        # three points on one edge of the simplex span 2 of the 3 dimensions
+        (3, [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 0]],
+         "cloud spans 2 dimensions but the measurement has l=3"),
+    ], ids=["rank-2", "cloud-spans-2-of-3"])
+    def test_refuses_what_the_bijection_does_not_cover(self, rank, base, message):
+        # the cloud is the image of base under a complete measurement
+        complete = random_ic_quasi_measurement(5, 3, seed=1)
+        meas = random_quasi_measurement(5, 3, rank, seed=1)
+        cloud = ProbabilityCloud(np.asarray(base, dtype=float) @ complete.matrix.T)
+        with pytest.raises(InvalidInputError, match=message):
+            composition_bijection_check(meas, cloud, samples=5)
+
+    @pytest.mark.parametrize("name, verdicts", [
+        ("feasibility_check", [False]),
+        ("det_factorization_check", [False]),
+        # the forward image passes, the backward one fails
+        ("feasibility_check", [True, False]),
+    ], ids=["forward-feasibility", "det-factorization", "backward-feasibility"])
+    def test_a_failed_sub_check_fails_the_bijection(self, monkeypatch, name, verdicts):
+        rng = np.random.default_rng(14)
+        base = rng.dirichlet(np.ones(3), 8)
+        m0 = random_ic_quasi_measurement(5, 3, rng)
+        cloud = ProbabilityCloud(base @ m0.matrix.T)
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            return verdicts[len(calls) - 1]
+
+        monkeypatch.setattr(verify, name, stub)
+        assert composition_bijection_check(m0, cloud, samples=20, seed=0) is False
+        assert len(calls) == len(verdicts)
+        if name == "feasibility_check":
+            # forward against the cloud, backward against its counter-image
+            assert [args[1].n for args in calls] == [5, 3][:len(verdicts)]
 
 
 class TestRoundTrip:
