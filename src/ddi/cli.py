@@ -1,11 +1,10 @@
 """Command-line front end: infer, verify-design, embed, simulate.
 
 Exit codes: 0 success, 1 not certified (verify-design), 2 solver did not
-converge (infer only, which still writes the partial result; simulate
-solves only simplices, at gap 0 in 0 iterations, so its CSV has no solver
-columns), 3 invalid input, a usage error or an unwritable output path.
-Output files are written to a temporary sibling and atomically renamed,
-so a complete prior result is never clobbered by a partial one.
+converge (infer only, which still writes the partial result), 3 invalid
+input, a usage error or an unwritable output path.  Output files are
+written to a temporary sibling and atomically renamed, so a complete
+prior result is never clobbered by a partial one.
 Messages go to stderr as lines ``LEVEL ddi: message``; the DDI_LOG
 environment variable names the lowest level shown (debug, info, warning,
 error; warning by default and for any other value).  ``ddi infer`` loads
@@ -20,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -57,15 +55,18 @@ def _load_json(path: str):
 
 
 def _write_text(path: str | None, text: str) -> None:
-    # Stage into a temp file in the same directory, then rename atomically.
+    # Stage into a new file in the same directory, then rename atomically.
+    # Opened exclusively under a fresh name, it gets the mode that
+    # open(path, "w") gives a new file: 0o666 less the umask.
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    staging = os.path.join(directory, f".ddi-{os.urandom(8).hex()}.tmp")
     try:
-        fd, staging = tempfile.mkstemp(dir=directory, prefix=".ddi-", suffix=".tmp")
+        handle = open(staging, "x", encoding="utf-8", newline="")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            with handle:
                 handle.write(text)
             os.replace(staging, path)
         except BaseException:

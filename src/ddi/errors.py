@@ -6,7 +6,7 @@ One class per failure a caller tells apart:
 - ``InvalidInputError``: a malformed argument or a violated precondition; exit 3.
 - ``DegenerateInputError``: a cloud or design too degenerate to solve, not malformed; exit 3.
 - ``DegenerateRangeError``: a rank-deficient measurement; the round trip catches it.
-- ``NotAQuasiMeasurementError``: the samplers catch it to redraw; carries ``residual``.
+- ``NotAQuasiMeasurementError``: the sampler catches it to redraw; carries ``residual``.
 - ``NoConvergenceError``: the solver's iteration cap; exit 2, carries ``partial``.
 """
 

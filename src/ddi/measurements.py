@@ -18,7 +18,7 @@ quantity the inference routines minimize.  It factorizes over
 composition with square members: ``det((M L)^T M L) =
 det(M^T M) det(L^T L)`` for informationally complete ``M`` (n x l)
 and ``L`` (l x l).  The test of informational completeness, the random
-samplers and the checks of the closure identity and of this
+sampler and the checks of the closure identity and of this
 factorization live in :mod:`ddi.verify`.
 
 Each :class:`QuasiMeasurement` takes at most one thin SVD ``M = U S

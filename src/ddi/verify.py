@@ -3,7 +3,7 @@
 The cone functional and the ball-membership test of the state ball; the
 regular simplex, Haar-random stabilizing orthogonals, rotations of state
 sets, orbit averages and the design-weight fit; the test of
-informational completeness, the quasi-measurement samplers and the
+informational completeness, the quasi-measurement sampler and the
 closure and determinant-factorization checks; the closed form for
 clouds of exactly ``l`` points; range membership, the volume bound
 ``det(M^T M) >= 1`` for square measurements enclosing a design, the
@@ -263,53 +263,44 @@ def random_ic_quasi_measurement(n: int, l: int,
                                 seed: int | np.random.Generator = 0) -> QuasiMeasurement:
     """Random informationally complete quasi-measurement with ``n`` outcomes.
 
-    Gaussian tangent block with column sums fixed to 1; redrawn in the
-    unlikely event of rank deficiency.  Deterministic for a fixed seed.
+    The sampler, :func:`random_quasi_measurement`, at ``rank = l``: a
+    column-centred Gaussian block with column sums fixed to 1.
+    Deterministic for a fixed seed.
     """
     n, l = _size(n, "n", 1), _size(l, "l", 2)
     if n < l:
         raise InvalidInputError(
             f"need n >= l >= 2 for informational completeness, got n={n}, l={l}")
-    rng = np.random.default_rng(seed)
-    ones_n = np.ones(n)
-    for _ in range(64):
-        block = rng.standard_normal((n, l))
-        block -= np.outer(ones_n, ones_n @ block) / n
-        matrix = np.outer(ones_n, np.ones(l)) / n + block
-        try:
-            meas = validate(matrix)
-        except NotAQuasiMeasurementError:
-            # validate's rank cut found the draw deficient: redraw, as the
-            # rank test below would
-            continue
-        sv = meas._svd[1]
-        if sv[-1] > 1e-6 * sv[0]:
-            return meas
-    raise DegenerateRangeError("failed to draw a full-rank measurement")
+    return random_quasi_measurement(n, l, l, seed)
 
 
 def random_quasi_measurement(n: int, l: int, rank: int,
                              seed: int | np.random.Generator = 0) -> QuasiMeasurement:
     """Random quasi-measurement of prescribed rank.
 
-    Builds a matrix whose rows live in a random ``rank``-dimensional
-    subspace and whose column sums equal the projection of the all-ones
-    vector onto that subspace, which is exactly the normalization
-    identity.  The rank test reads the validated measurement's SVD, and
-    a draw that fails either is redrawn.  With ``rank == l`` this
-    reduces to an informationally complete draw.
+    Builds a column-centred Gaussian block whose rows live in a random
+    ``rank``-dimensional subspace, and adds column sums equal to the
+    projection of the all-ones vector onto that subspace, which is
+    exactly the normalization identity.  At ``rank = l`` the subspace is
+    the whole space and no basis of it is drawn.  The rank test reads
+    the validated measurement's SVD, and a draw that fails either is
+    redrawn.
     """
     n, l, rank = _size(n, "n", 1), _size(l, "l", 2), _size(rank, "rank", 1)
     if rank > min(n, l):
         raise InvalidInputError(f"rank must lie in [1, min(n, l)], got {rank}")
     rng = np.random.default_rng(seed)
     ones_n = np.ones(n)
-    ones_l = np.ones(l)
     for _ in range(64):
-        span = np.linalg.qr(rng.standard_normal((l, rank)))[0]
-        projector = span @ span.T
-        rows = rng.standard_normal((n, rank)) @ span.T
-        matrix = rows + np.outer(ones_n, projector @ ones_l - rows.T @ ones_n) / n
+        if rank < l:
+            span = np.linalg.qr(rng.standard_normal((l, rank)))[0]
+            block = rng.standard_normal((n, rank)) @ span.T
+            sums = span @ span.sum(axis=0)
+        else:
+            block = rng.standard_normal((n, l))
+            sums = np.ones(l)
+        block -= np.outer(ones_n, ones_n @ block) / n
+        matrix = np.outer(ones_n, sums) / n + block
         try:
             meas = validate(matrix)
         except NotAQuasiMeasurementError:
@@ -395,7 +386,6 @@ def design_volume_bound_check(meas: QuasiMeasurement,
     of the ball, i.e. each counter-image ``M^-1 s`` is in the ball
     within ``DEFAULT_TOL``.
     """
-    matrix = meas.matrix
     if meas.n != meas.l or meas.l != states.l:
         raise InvalidInputError(
             f"bound check needs a square {states.l} x {states.l} measurement")
@@ -403,10 +393,10 @@ def design_volume_bound_check(meas: QuasiMeasurement,
     if not certificate.is_design:
         raise InvalidInputError(
             f"state set is not a certified 2-design, deviation {certificate.frame_deviation}")
-    sv = meas._svd[1]
+    u, sv, vt = meas._svd
     if sv[-1] <= 1e-12 * sv[0]:
         raise InvalidInputError("measurement must be invertible")
-    inverse = np.linalg.inv(matrix)
+    inverse = (vt.T / sv) @ u.T
     if not _rows_in_ball(states.points @ inverse.T, DEFAULT_TOL):
         raise InvalidInputError("measurement range does not enclose the design")
     gram_det = float(np.prod(sv * sv))
@@ -437,10 +427,10 @@ def _sample_enclosing(points: np.ndarray, chart: np.ndarray, draw_center,
         center = draw_center()
         x = (points - center) @ chart
         block = rng.standard_normal((d, d))
-        sv = np.linalg.svd(block, compute_uv=False)
+        u, sv, _ = np.linalg.svd(block)
         if sv[-1] <= 1e-8 * sv[0]:
             continue
-        reach = np.linalg.norm(np.linalg.solve(block, x.T), axis=0).max()
+        reach = np.linalg.norm((x @ u) / sv, axis=1).max()
         scale = (1.0 + margin) * max(reach, 1e-12) / radius
         matrix = np.outer(center, np.ones(d + 1)) + chart @ (scale * block) @ tangent.T
         return validate(matrix)
@@ -579,8 +569,7 @@ class RoundTripReport:
     is the input ``M`` up to the gauge, as the closed form claims.  Each
     ``perturbed_deviation`` is the ``frame_deviation`` of
     :func:`~ddi.designs.certify_design` for that perturbed simplex at
-    uniform weights, the only weights that could certify it.  No solver
-    field is kept: each cloud is a simplex, solved at gap 0 in 0 iterations.
+    uniform weights, the only weights that could certify it.
     """
 
     expected_volume_sq: float
@@ -610,8 +599,7 @@ def inference_round_trip(meas: QuasiMeasurement, perturbations: int = 0,
     :class:`InvalidInputError` is raised.  Each cloud is then a simplex,
     which :func:`mvee` answers in closed form, at gap 0 and without
     iterating, from its chart's SVD: a solve takes that SVD and the
-    singular values of the measurement's ``l x l`` factor, no other, so
-    the report has no solver fields.
+    singular values of the measurement's ``l x l`` factor, no other.
 
     With ``perturbations > 0`` the simplex is additionally kicked along
     the sphere into sets whose design certificate at uniform weights

@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the package internals:
 densities are built from raw matrix algebra, and the enclosing-ellipse
 oracle is a direct parameter search, so tests compare two routes to the
-same quantity.
+same quantity.  The one exception is the frozen sampler, a reference
+for the package's own draw, which validates through the package as the
+sampler it froze did.
 """
 
 from types import SimpleNamespace
@@ -156,6 +158,30 @@ def enclosing_ellipse_bruteforce(vertices, starts=6, seed=0):
                 best = res
     assert best is not None, "oracle failed to find an enclosing ellipse"
     return unwhitened(best.x)
+
+
+def frozen_ic_quasi_measurement(n, l, seed=0):
+    """The informationally complete sampler as it stood with its own draw loop.
+
+    Kept verbatim, without its size reads, as the reference the merged
+    sampler must match bit for bit: the same rng order and arithmetic.
+    """
+    from ddi import NotAQuasiMeasurementError, validate
+
+    rng = np.random.default_rng(seed)
+    ones_n = np.ones(n)
+    for _ in range(64):
+        block = rng.standard_normal((n, l))
+        block -= np.outer(ones_n, ones_n @ block) / n
+        matrix = np.outer(ones_n, np.ones(l)) / n + block
+        try:
+            meas = validate(matrix)
+        except NotAQuasiMeasurementError:
+            continue
+        sv = meas._svd[1]
+        if sv[-1] > 1e-6 * sv[0]:
+            return meas
+    raise AssertionError("failed to draw a full-rank measurement")
 
 
 def count_linalg_calls(monkeypatch, *names):

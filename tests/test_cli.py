@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -150,6 +152,20 @@ class TestInfer:
         loose, tight = json.loads(loose.read_text()), json.loads(tight.read_text())
         assert loose["optimality_gap"] <= 1e-3
         assert loose["iterations"] <= tight["iterations"]
+
+    def test_collapsed_support_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the solver's guard on a singular support inverse, forced by making inv raise
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        points = np.random.default_rng(3).dirichlet(np.ones(4), 12)
+        inp = write_json(tmp_path / "cloud.json", {"n": 4, "distributions": points.tolist()})
+        monkeypatch.delenv("DDI_LOG", raising=False)
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert main(["infer", inp]) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: support collapsed during the ellipsoid iteration\n"
 
     def test_debug_log_reports_the_solve(self, tmp_path, monkeypatch, capsys):
         inp = hard_cloud(tmp_path)
@@ -484,6 +500,27 @@ class TestUsageAndOutputErrors:
         taken.mkdir()
         assert main(["infer", inp, "--output", str(taken)]) == EXIT_INVALID_INPUT
         assert capsys.readouterr().err.startswith("error: cannot write")
+        assert not list(tmp_path.glob(".ddi-*.tmp"))
+
+    @pytest.mark.parametrize("mask", [None, 0o027], ids=["suite-umask", "umask-027"])
+    def test_output_gets_the_mode_of_a_new_file(self, tmp_path, mask):
+        # 0o666 less the umask, as open(path, "w") gives a new file, also when
+        # the output replaces a file of another mode; None keeps the umask
+        # the suite runs under
+        current = os.umask(0)  # the only way to read it; restored below
+        mask = current if mask is None else mask
+        os.umask(mask)
+        try:
+            expected = 0o666 & ~mask
+            inp = write_json(tmp_path / "cloud.json", HALVES_CLOUD)
+            out = tmp_path / "result.json"
+            assert main(["infer", inp, "--output", str(out)]) == EXIT_OK
+            assert stat.S_IMODE(out.stat().st_mode) == expected
+            out.chmod(0o640)
+            assert main(["infer", inp, "--output", str(out)]) == EXIT_OK
+            assert stat.S_IMODE(out.stat().st_mode) == expected
+        finally:
+            os.umask(current)
         assert not list(tmp_path.glob(".ddi-*.tmp"))
 
 

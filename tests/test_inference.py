@@ -220,6 +220,18 @@ class TestProbabilityCloud:
 
 
 class TestMvee:
+    def test_a_singular_support_inverse_is_degenerate_input(self, monkeypatch):
+        # inv raises LinAlgError on an exactly singular support matrix; no
+        # cloud is known to reach that, so inv is made to raise
+        def singular(matrix):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        cloud = ProbabilityCloud(np.random.default_rng(3).dirichlet(np.ones(4), 12))
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(DegenerateInputError,
+                           match="^support collapsed during the ellipsoid iteration$"):
+            mvee(cloud)
+
     def test_simplex_gives_centered_ball(self):
         for l in (2, 3, 5, 8):
             e = mvee(ProbabilityCloud(np.eye(l)))
@@ -842,13 +854,14 @@ class TestFeasibility:
     def test_factorizes_each_fresh_measurement_once(self, monkeypatch):
         rng = np.random.default_rng(20)
         cloud = random_cloud(10, 4, rng)
+        # the sampler reads its reach off the tangent block's SVD, with no solve
+        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq", "solve")
         matrices = [sample_enclosing_measurement(cloud, rng).matrix for _ in range(5)]
-        counts = count_linalg_calls(monkeypatch, "svd", "pinv", "lstsq")
         for matrix in matrices:
             before = counts["svd"]
             assert feasibility_check(QuasiMeasurement(matrix), cloud, 1e-8)
             assert counts["svd"] - before == 1
-        assert counts["pinv"] == counts["lstsq"] == 0
+        assert counts["pinv"] == counts["lstsq"] == counts["solve"] == 0
 
     def test_matches_the_per_point_ball_membership(self):
         # the loop feasibility_check replaced, kept as its reference
@@ -890,15 +903,21 @@ class TestVolumeBound:
             assert report.gram_det == pytest.approx(1.0, abs=1e-12)
             assert report.trace_gap == pytest.approx(0.0, abs=1e-12)
 
-    def test_random_enclosing_squares_satisfy_bound(self):
+    def test_random_enclosing_squares_satisfy_bound(self, monkeypatch):
+        # the check reads the inverse off a fresh measurement's one SVD, and
+        # the sampler its reach off the tangent block's
+        counts = count_linalg_calls(monkeypatch, "svd", "inv", "solve")
         rng = np.random.default_rng(13)
         for trial in range(50):
             l = int(rng.integers(2, 7))
             design = rotate_set(regular_simplex(l), random_stabilizing_orthogonal(l, rng))
-            meas = sample_enclosing_square(design.points, rng)
+            meas = QuasiMeasurement(sample_enclosing_square(design.points, rng).matrix)
+            before = counts["svd"]
             report = design_volume_bound_check(meas, design)
+            assert counts["svd"] - before == 1
             assert report.gram_det >= 1.0 - 1e-9
             assert report.trace_gap <= 1e-9
+        assert counts["inv"] == counts["solve"] == 0
 
     def test_rejects_non_design(self):
         off = WeightedStateSet(points=np.eye(3)[:2], weights=np.array([0.5, 0.5]))

@@ -17,7 +17,7 @@ from ddi import (
 from ddi.measurements import apply, measurement_from_dict, measurement_to_dict
 from ddi.verify import random_stabilizing_orthogonal
 
-from helpers import count_linalg_calls
+from helpers import count_linalg_calls, frozen_ic_quasi_measurement
 
 # cyclic matrix with two 0.5 entries per row; det computed as 0.25 by
 # direct expansion, so the squared range volume is 0.0625
@@ -222,6 +222,27 @@ class TestSamplers:
     def test_ic_sampler_output_is_complete(self):
         for seed in range(20):
             assert is_informationally_complete(random_ic_quasi_measurement(6, 4, seed=seed))
+
+    def test_ic_sampler_matches_the_frozen_draw(self):
+        # the rank sampler at rank = l skips the span and draws as the IC
+        # sampler's own loop did, so the matrices agree bit for bit
+        cases = [(n, l, seed) for n in range(2, 16) for l in range(2, n + 1)
+                 for seed in range(40)]
+        cases += [(12, 9, int(np.random.default_rng([s, i]).integers(2 ** 31)))
+                  for s in (3, 7, 11, 19) for i in range(200)]
+        for n, l, seed in cases:
+            expected = frozen_ic_quasi_measurement(n, l, seed).matrix
+            np.testing.assert_array_equal(random_ic_quasi_measurement(n, l, seed).matrix, expected)
+            np.testing.assert_array_equal(random_quasi_measurement(n, l, l, seed).matrix, expected)
+
+    def test_ic_sampler_passes_a_shared_generator_through(self):
+        # one rng serves every call, with a rank-1 draw between IC draws
+        ours, frozen = np.random.default_rng(5), np.random.default_rng(5)
+        for n, l in [(3, 2), (7, 4), (12, 9), (5, 5)] * 10:
+            np.testing.assert_array_equal(random_ic_quasi_measurement(n, l, ours).matrix,
+                                          frozen_ic_quasi_measurement(n, l, frozen).matrix)
+            np.testing.assert_array_equal(random_quasi_measurement(n, l, 1, ours).matrix,
+                                          random_quasi_measurement(n, l, 1, frozen).matrix)
 
     def test_rank_sampler_hits_requested_rank(self):
         for seed in range(20):
